@@ -140,49 +140,21 @@ func BenchmarkAblationUniformChannel(b *testing.B) {
 }
 
 // BenchmarkAblationJoinStrategy compares hash join vs nested-loop execution
-// of an equi-join over a synthetic IMDB instance.
+// of an equi-join over a synthetic IMDB instance. "AND 1 = 1" keeps the ON
+// clause from being a bare column equality, which forces the nested loop.
 func BenchmarkAblationJoinStrategy(b *testing.B) {
 	db := datagen.Instance(catalog.IMDB(), datagen.Config{Seed: 5, Rows: 400})
-	sql := "SELECT t.id FROM title AS t JOIN movie_companies AS mc ON t.id = mc.movie_id WHERE t.production_year > 1950"
-	b.Run("hash", func(b *testing.B) {
-		e := engine.New(db)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.QuerySQL(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("nested-loop", func(b *testing.B) {
-		e := engine.New(db)
-		e.ForceNestedLoop = true
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.QuerySQL(sql); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationPlanOptimizer compares the full plan-optimizer pipeline
-// (predicate pushdown, cost-ordered comma joins, streaming hash joins)
-// against the raw plan lowering on a three-relation comma join over a
-// synthetic IMDB instance. Output is byte-identical in both modes.
-func BenchmarkAblationPlanOptimizer(b *testing.B) {
-	db := datagen.Instance(catalog.IMDB(), datagen.Config{Seed: 5, Rows: 400})
-	sql := "SELECT t.id FROM title AS t, movie_companies AS mc, movie_keyword AS mk " +
-		"WHERE t.id = mc.movie_id AND t.id = mk.movie_id AND t.production_year > 1950 AND mc.company_type_id > 0"
-	for _, mode := range []struct {
-		name     string
-		optimize bool
-	}{{"optimized", true}, {"unoptimized", false}} {
-		b.Run(mode.name, func(b *testing.B) {
+	const join = "SELECT t.id FROM title AS t JOIN movie_companies AS mc ON t.id = mc.movie_id"
+	const where = " WHERE t.production_year > 1950"
+	for _, arm := range []struct{ name, sql string }{
+		{"hash", join + where},
+		{"nested-loop", join + " AND 1 = 1" + where},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			e := engine.New(db)
-			e.Optimize = mode.optimize
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.QuerySQL(sql); err != nil {
+				if _, err := e.QuerySQL(arm.sql); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,7 +18,6 @@
 //	sqlbench -exp table3 -store-dir /tmp/stores -store-pool 4  # force eviction
 //	sqlbench -exp table3 -trace-out run.json      # Chrome trace of the whole run
 //	sqlbench -exp table3 -trace-out run.ndjson    # one span record per line
-//	sqlbench -exp all -no-optimize                # plan optimizer off (ablation)
 //	sqlbench -explain-plan 'SELECT ...'           # plan before/after optimization
 //
 // Output is byte-identical at every -parallel setting; -parallel 1
@@ -69,7 +68,6 @@ func main() {
 		storeDir  = flag.String("store-dir", "", "persist the state task's durable oracle stores under this directory (one per dataset); a rerun recovers them from their WALs, and artifacts stay byte-identical to an in-memory build")
 		storePool = flag.Int("store-pool", 0, "buffer-pool pages per oracle store (0 = default); small values force eviction so datasets exceed the pool")
 
-		noOptimize  = flag.Bool("no-optimize", false, "run engine queries without the plan optimizer (pushdown, join reordering, streaming hash joins); output is byte-identical, only speed changes")
 		explainPlan = flag.String("explain-plan", "", "print the logical plan of this SELECT before and after optimization (against a synthetic SDSS instance) and exit")
 
 		continueOnError = flag.Bool("continue-on-error", false, "record per-example completion failures and keep going instead of aborting the run")
@@ -145,7 +143,6 @@ func main() {
 	env, err := experiments.NewEnvConfig(experiments.Config{
 		Seed:               *seed,
 		VerifyEquivalences: !*noVerify,
-		NoOptimize:         *noOptimize,
 		Parallel:           *parallel,
 		StoreDir:           *storeDir,
 		StorePoolPages:     *storePool,
@@ -210,9 +207,9 @@ func main() {
 }
 
 // printExplain renders a SELECT's logical plan before and after the engine's
-// optimizer pass, resolved against a small synthetic SDSS instance (the
-// optimizer's cost estimates read actual table sizes, so a concrete database
-// is required).
+// pushdown pass, resolved against a small synthetic SDSS instance (pushdown
+// checks every moved predicate against the tables' actual columns, so a
+// concrete database is required).
 func printExplain(w io.Writer, sql string) error {
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {

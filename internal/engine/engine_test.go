@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -177,21 +178,54 @@ func TestCrossJoinAndImplicitJoin(t *testing.T) {
 	}
 }
 
+// The hash join and the nested loop agree exactly, row order included: both
+// emit left-major rows with matches in right-input order. Appending
+// "AND 1 = 1" to an equi-join's ON clause makes it more than a bare column
+// equality, which routes the join to the nested loop.
 func TestHashAndNestedLoopJoinAgree(t *testing.T) {
 	db := testDB()
-	sql := "SELECT e.name , d.budget FROM emp AS e JOIN dept AS d ON e.dept = d.name"
-	hashed, err := New(db).QuerySQL(sql)
-	if err != nil {
-		t.Fatal(err)
+	for _, typ := range []string{"INNER", "LEFT", "RIGHT", "FULL"} {
+		for _, q := range []string{
+			"SELECT * FROM emp AS e %s JOIN dept AS d ON e.dept = d.name%s",
+			"SELECT * FROM dept AS d %s JOIN emp AS e ON d.name = e.dept%s",
+			"SELECT * FROM emp AS e %s JOIN dept AS d ON e.dept = d.name%s WHERE e.salary > 75",
+		} {
+			hashSQL := fmt.Sprintf(q, typ, "")
+			loopSQL := fmt.Sprintf(q, typ, " AND 1 = 1")
+			hashed, hashErr := New(db).QuerySQL(hashSQL)
+			looped, loopErr := New(db).QuerySQL(loopSQL)
+			assertSame(t, hashSQL, hashed, looped, hashErr, loopErr)
+		}
 	}
-	e2 := New(db)
-	e2.ForceNestedLoop = true
-	looped, err := e2.QuerySQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualRelations(hashed, looped, false) {
-		t.Errorf("hash join %v != nested loop %v", rowStrings(hashed), rowStrings(looped))
+}
+
+// Hash-join buckets must group every pair Equal matches. Numbers compare by
+// value across int and float, so 1000000 meets 1000000.0 (whose display
+// form is "1e+06") and -0.0 meets 0; a number also equals the text of its
+// display form. Each case must match the nested loop's single row, through
+// an explicit JOIN and through a comma join.
+func TestHashJoinKeysMatchEqual(t *testing.T) {
+	db := testDB()
+	for _, c := range [][2]string{
+		{"1000000", "1000000.0"},
+		{"0.0 * -1", "0"},
+		{"'1e+06'", "1000000.0"},
+		{"5", "'5'"},
+	} {
+		a := fmt.Sprintf("(SELECT %s AS k) a", c[0])
+		b := fmt.Sprintf("(SELECT %s AS k) b", c[1])
+		loop, loopErr := New(db).QuerySQL("SELECT a.k FROM " + a + " JOIN " + b + " ON a.k = b.k AND 1 = 1")
+		if loopErr != nil || len(loop.Rows) != 1 {
+			t.Fatalf("%s = %s: nested loop returned %v, %v; want one row", c[0], c[1], loop, loopErr)
+		}
+		for _, sql := range []string{
+			"SELECT a.k FROM " + a + " JOIN " + b + " ON a.k = b.k",
+			"SELECT a.k FROM " + b + " JOIN " + a + " ON b.k = a.k",
+			"SELECT a.k FROM " + a + " , " + b + " WHERE a.k = b.k",
+		} {
+			got, err := New(db).QuerySQL(sql)
+			assertSame(t, sql, got, loop, err, loopErr)
+		}
 	}
 }
 

@@ -6,6 +6,10 @@ package engine
 // ordering itself lives in planner.go).
 
 import (
+	"math"
+	"strconv"
+
+	"repro/internal/catalog"
 	"repro/internal/sqlast"
 )
 
@@ -42,12 +46,6 @@ func (a *rowArena) concat(l, r []Value) []Value {
 	return row
 }
 
-func concatRows(a, b []Value) []Value {
-	row := make([]Value, 0, len(a)+len(b))
-	row = append(row, a...)
-	return append(row, b...)
-}
-
 func nullRow(n int) []Value {
 	row := make([]Value, n)
 	for i := range row {
@@ -74,15 +72,16 @@ func (e *Engine) crossProduct(a, b *Relation) (*Relation, error) {
 }
 
 // joinRelations executes an explicit join of two materialized relations.
-// Equi-joins on plain column references use a hash join unless
-// ForceNestedLoop is set; everything else is nested-loop.
+// An ON clause that is one equality between plain column references uses a
+// hash join; everything else is nested-loop. Both emit left-major rows with
+// matches in right-input order, so they agree row for row.
 func (e *Engine) joinRelations(left, right *Relation, joinType string, on sqlast.Expr, oe *opEnv) (*Relation, error) {
 	out := &Relation{Cols: append(append([]Col{}, left.Cols...), right.Cols...)}
 	if joinType == "CROSS" || on == nil {
 		return e.crossProduct(left, right)
 	}
 
-	if li, ri, ok := equiJoinCols(on, left, right); ok && !e.ForceNestedLoop {
+	if li, ri, ok := equiJoinCols(on, left, right); ok {
 		return e.hashJoin(left, right, li, ri, joinType, out)
 	}
 
@@ -166,6 +165,37 @@ func equiJoinCols(on sqlast.Expr, left, right *Relation) (li, ri int, ok bool) {
 	return 0, 0, false
 }
 
+// joinKey returns the hash-join bucket of a non-NULL value. Equal must imply
+// equal keys, or the hash join would miss pairs the nested loop finds.
+// Numbers compare by float value, so every number keys by that value in one
+// canonical text: integral values as integer text (folding -0 into 0),
+// others in shortest 'g' form. Equal also matches a number with the text of
+// its display form ("1e+06" = 1e6), so text that parses as a number keys
+// like that number. Unequal values may share a key; the probe's Equal guard
+// filters them. The one gap is NaN, which Compare ranks equal to every
+// number: no single key can put it in every bucket.
+func joinKey(v Value) string {
+	switch v.Kind {
+	case catalog.TypeInt, catalog.TypeFloat:
+		return canonicalNumber(v.AsFloat())
+	case catalog.TypeText:
+		// Display forms of numbers start with a digit, '-', "+Inf" or "NaN".
+		if s := v.S; s != "" && (s[0] >= '0' && s[0] <= '9' || s[0] == '-' || s[0] == '+' || s[0] == 'N') {
+			if f, err := strconv.ParseFloat(s, 64); err == nil {
+				return canonicalNumber(f)
+			}
+		}
+	}
+	return v.String()
+}
+
+func canonicalNumber(f float64) string {
+	if f == math.Trunc(f) && math.Abs(f) < 1<<63 {
+		return strconv.FormatInt(int64(f), 10)
+	}
+	return strconv.FormatFloat(f, 'g', -1, 64)
+}
+
 func (e *Engine) hashJoin(left, right *Relation, li, ri int, joinType string, out *Relation) (*Relation, error) {
 	index := make(map[string][]int, len(right.Rows))
 	for idx, rr := range right.Rows {
@@ -173,7 +203,7 @@ func (e *Engine) hashJoin(left, right *Relation, li, ri int, joinType string, ou
 		if v.Null {
 			continue
 		}
-		k := v.String()
+		k := joinKey(v)
 		index[k] = append(index[k], idx)
 	}
 	e.ops.Add(int64(len(right.Rows)))
@@ -185,8 +215,8 @@ func (e *Engine) hashJoin(left, right *Relation, li, ri int, joinType string, ou
 		v := lr[li]
 		matched := false
 		if !v.Null {
-			for _, idx := range index[v.String()] {
-				// Guard against hash collisions across kinds via Equal.
+			for _, idx := range index[joinKey(v)] {
+				// Keys may collide across unequal values; Equal decides.
 				if Equal(v, right.Rows[idx][ri]) {
 					matched = true
 					rightMatched[idx] = true
@@ -250,8 +280,8 @@ func (o *joinOp) open() error {
 }
 
 // ---------------------------------------------------------------------------
-// crossOp: left-deep cross product of comma-joined inputs (planner disabled
-// or no WHERE clause to mine for join conditions).
+// crossOp: left-deep cross product of comma-joined inputs (no WHERE clause
+// to mine for join conditions, or every WHERE conjunct pushed below).
 
 type crossOp struct {
 	oe     *opEnv
@@ -327,14 +357,7 @@ func (o *implicitJoinOp) open() error {
 		}
 		rels[i] = rel
 	}
-	var joined *Relation
-	var residual sqlast.Expr
-	var err error
-	if o.node.CostOrder {
-		joined, residual, err = o.oe.e.orderImplicitJoinsCost(rels, o.node.Where)
-	} else {
-		joined, residual, err = o.oe.e.orderImplicitJoins(rels, o.node.Where)
-	}
+	joined, residual, err := o.oe.e.orderImplicitJoins(rels, o.node.Where)
 	if err != nil {
 		return err
 	}
@@ -357,313 +380,4 @@ func (o *implicitJoinOp) open() error {
 	o.rel = joined
 	o.cursor = relCursor{rows: joined.Rows}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// streamJoinOp: the optimizer's streaming hash join (JoinNode.Stream). One
-// side is drained and hashed at open; the other — the probe side — streams
-// through next() batch by batch, never materialized by the join. Output is
-// byte-identical to joinOp: probe-major rows with build matches in build
-// insertion order, the same outer-join padding, the same ops-counter totals
-// (build size at open, probe size across batches), and the same row-cap
-// error checked only as matches append.
-//
-// By default the right input is built and the left streamed, mirroring the
-// materializing hashJoin exactly. BuildLeft (INNER only) flips that: the
-// left input is built, the right streamed into per-left-row buckets, and
-// matches are emitted left-major afterwards — the same output order, with
-// the hash table on the estimated-smaller side.
-//
-// When the hinted equi-join does not pan out at execution time (the key
-// columns fail to resolve against the actual inputs, the engine forces
-// nested loops, or the join is a cross join), the operator falls back to
-// the materializing joinRelations on the same inputs, preserving behavior
-// bit for bit.
-
-type streamJoinOp struct {
-	oe          *opEnv
-	node        *JoinNode
-	left, right operator
-
-	cols  []Col
-	arena *rowArena
-
-	// Fallback mode: fully materialized result.
-	rel    *Relation
-	cursor relCursor
-
-	// Streaming state (probe-left by default).
-	build     *Relation
-	index     map[string][]int
-	probeIdx  int // key column index in the probe row
-	buildIdx  int // key column index in the build row
-	probeCols int
-	matched   []bool  // build rows matched so far (RIGHT/FULL padding)
-	buildPad  []Value // null padding, build-side width
-	emitted   int     // rows emitted, for the row-cap check
-	probeDone bool
-	tailSent  bool
-
-	// BuildLeft state: per-build-row match buckets, filled from the streamed
-	// right input at open, emitted left-major by next().
-	buckets   [][][]Value
-	bucketPos int
-}
-
-func (o *streamJoinOp) columns() []Col  { return o.cols }
-func (o *streamJoinOp) hiddenCols() int { return 0 }
-func (o *streamJoinOp) materialized() *Relation {
-	return o.rel // nil while streaming: drainInput collects batches instead
-}
-func (o *streamJoinOp) close() { o.left.close(); o.right.close() }
-
-func (o *streamJoinOp) open() error {
-	e := o.oe.e
-	if o.node.Type == "CROSS" || o.node.On == nil || e.ForceNestedLoop {
-		left, err := drainInput(o.left)
-		if err != nil {
-			return err
-		}
-		right, err := drainInput(o.right)
-		if err != nil {
-			return err
-		}
-		return o.finishFallback(left, right)
-	}
-	if o.node.BuildLeft {
-		return o.openBuildLeft()
-	}
-
-	// Default: build on the right, stream the left — the materializing
-	// hashJoin's shape with the probe side left unmaterialized. The left
-	// opens before the right is touched so open-time errors surface in the
-	// same left-then-right order as the materializing join.
-	if err := o.left.open(); err != nil {
-		return err
-	}
-	build, err := drainInput(o.right)
-	if err != nil {
-		return err
-	}
-	probeCols := o.left.columns()
-	li, ri, ok := equiJoinCols(o.node.On, &Relation{Cols: probeCols}, build)
-	if !ok {
-		left, err := drainOpened(o.left)
-		if err != nil {
-			return err
-		}
-		return o.finishFallback(left, build)
-	}
-	o.cols = append(append(make([]Col, 0, len(probeCols)+len(build.Cols)), probeCols...), build.Cols...)
-	o.build = build
-	o.probeIdx, o.buildIdx = li, ri
-	o.probeCols = len(probeCols)
-	o.index = buildJoinIndex(build, ri)
-	e.ops.Add(int64(len(build.Rows)))
-	if o.node.Type == "RIGHT" || o.node.Type == "FULL" {
-		o.matched = make([]bool, len(build.Rows))
-	}
-	o.buildPad = nullRow(len(build.Cols))
-	o.arena = newRowArena(len(o.cols))
-	return nil
-}
-
-func (o *streamJoinOp) openBuildLeft() error {
-	e := o.oe.e
-	build, err := drainInput(o.left)
-	if err != nil {
-		return err
-	}
-	if err := o.right.open(); err != nil {
-		return err
-	}
-	probeCols := o.right.columns()
-	li, ri, ok := equiJoinCols(o.node.On, build, &Relation{Cols: probeCols})
-	if !ok {
-		right, err := drainOpened(o.right)
-		if err != nil {
-			return err
-		}
-		return o.finishFallback(build, right)
-	}
-	o.cols = append(append(make([]Col, 0, len(build.Cols)+len(probeCols)), build.Cols...), probeCols...)
-	o.build = build
-	o.index = buildJoinIndex(build, li)
-	e.ops.Add(int64(len(build.Rows)))
-	o.buckets = make([][][]Value, len(build.Rows))
-	o.arena = newRowArena(len(o.cols))
-
-	// Stream the right input into per-left-row buckets. Matches are counted
-	// against the row cap here — the materializing join counts the same
-	// matches, in a different order, against the same total.
-	matches := 0
-	for {
-		batch, err := o.right.next()
-		if err != nil {
-			return err
-		}
-		if batch == nil {
-			break
-		}
-		e.ops.Add(int64(len(batch)))
-		for _, rr := range batch {
-			v := rr[ri]
-			if v.Null {
-				continue
-			}
-			for _, idx := range o.index[v.String()] {
-				if Equal(v, o.build.Rows[idx][li]) {
-					o.buckets[idx] = append(o.buckets[idx], rr)
-					matches++
-					if matches > e.maxRows() {
-						return execErrorf("join result exceeds row cap")
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// finishFallback runs the materializing joinRelations over both (now
-// materialized) inputs and serves the result through the cursor, exactly as
-// joinOp would have.
-func (o *streamJoinOp) finishFallback(left, right *Relation) error {
-	rel, err := o.oe.e.joinRelations(left, right, o.node.Type, o.node.On, o.oe)
-	if err != nil {
-		return err
-	}
-	o.rel = rel
-	o.cols = rel.Cols
-	o.cursor = relCursor{rows: rel.Rows}
-	return nil
-}
-
-func (o *streamJoinOp) next() ([][]Value, error) {
-	if o.rel != nil {
-		return o.cursor.next(), nil
-	}
-	if o.buckets != nil {
-		return o.nextBuildLeft()
-	}
-	return o.nextProbeLeft()
-}
-
-// nextProbeLeft streams probe batches against the built right side,
-// emitting matches (and LEFT/FULL padding) inline and RIGHT/FULL unmatched
-// build rows after the probe drains.
-func (o *streamJoinOp) nextProbeLeft() ([][]Value, error) {
-	e := o.oe.e
-	for !o.probeDone {
-		batch, err := o.left.next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			o.probeDone = true
-			break
-		}
-		e.ops.Add(int64(len(batch)))
-		out := make([][]Value, 0, len(batch))
-		for _, lr := range batch {
-			v := lr[o.probeIdx]
-			rowMatched := false
-			if !v.Null {
-				for _, idx := range o.index[v.String()] {
-					// Guard against hash collisions across kinds via Equal.
-					if Equal(v, o.build.Rows[idx][o.buildIdx]) {
-						rowMatched = true
-						if o.matched != nil {
-							o.matched[idx] = true
-						}
-						out = append(out, o.arena.concat(lr, o.build.Rows[idx]))
-						o.emitted++
-						if o.emitted > e.maxRows() {
-							return nil, execErrorf("join result exceeds row cap")
-						}
-					}
-				}
-			}
-			if !rowMatched && (o.node.Type == "LEFT" || o.node.Type == "FULL") {
-				out = append(out, o.arena.concat(lr, o.buildPad))
-				o.emitted++
-			}
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-	if o.tailSent || o.matched == nil {
-		return nil, nil
-	}
-	o.tailSent = true
-	probePad := nullRow(o.probeCols)
-	var out [][]Value
-	for idx, rr := range o.build.Rows {
-		if !o.matched[idx] {
-			out = append(out, o.arena.concat(probePad, rr))
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// nextBuildLeft emits the buckets in build (left) order: for each left row,
-// its matches in right arrival order — the exact output order of the
-// materializing probe-left join.
-func (o *streamJoinOp) nextBuildLeft() ([][]Value, error) {
-	var out [][]Value
-	for o.bucketPos < len(o.buckets) {
-		lr := o.build.Rows[o.bucketPos]
-		for _, rr := range o.buckets[o.bucketPos] {
-			out = append(out, o.arena.concat(lr, rr))
-		}
-		o.buckets[o.bucketPos] = nil // release matched rows as they stream out
-		o.bucketPos++
-		if len(out) >= batchRows {
-			return out, nil
-		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// buildJoinIndex hashes a relation's key column, skipping NULLs (a NULL key
-// matches nothing). Slice order is row order, which downstream emission
-// relies on.
-func buildJoinIndex(rel *Relation, key int) map[string][]int {
-	index := make(map[string][]int, len(rel.Rows))
-	for idx, rr := range rel.Rows {
-		v := rr[key]
-		if v.Null {
-			continue
-		}
-		index[v.String()] = append(index[v.String()], idx)
-	}
-	return index
-}
-
-// drainOpened materializes the remaining output of an operator whose open
-// already ran (drainInput would open it a second time).
-func drainOpened(op operator) (*Relation, error) {
-	if m, ok := op.(interface{ materialized() *Relation }); ok {
-		if rel := m.materialized(); rel != nil {
-			return rel, nil
-		}
-	}
-	rel := &Relation{Cols: op.columns()}
-	for {
-		batch, err := op.next()
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			return rel, nil
-		}
-		rel.Rows = append(rel.Rows, batch...)
-	}
 }

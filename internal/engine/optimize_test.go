@@ -1,13 +1,11 @@
 package engine
 
-// Tests for the plan optimizer (optimize.go): golden plan shapes for each
-// rewrite, exact-output parity between optimized and unoptimized execution
-// (the byte-identity contract), a randomized differential check over joins
-// and predicates including error cases, and a memory benchmark for the
-// streaming hash join.
+// Tests for the plan optimizer (optimize.go): golden plan shapes for
+// predicate pushdown, and exact-output parity between the engine and the
+// unoptimized reference engine (the byte-identity contract) over fixed and
+// randomized queries, error cases included.
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -39,7 +37,7 @@ func TestExplainPushdownGolden(t *testing.T) {
 	}, "\n")
 	wantAfter := strings.Join([]string{
 		"Project (1 items, 0 order keys)",
-		"  INNER Join ON e.dept = d.name [stream hash, build right]",
+		"  INNER Join ON e.dept = d.name",
 		"    Filter e.salary > 75",
 		"      Scan emp AS e",
 		"    Filter d.budget >= 500",
@@ -54,7 +52,7 @@ func TestExplainPushdownGolden(t *testing.T) {
 	}
 }
 
-func TestExplainCostOrderGolden(t *testing.T) {
+func TestExplainImplicitJoinPushdownGolden(t *testing.T) {
 	before, after := explain(t,
 		"SELECT e.name FROM emp e, dept d WHERE e.dept = d.name AND e.salary > 75")
 	wantBefore := strings.Join([]string{
@@ -66,7 +64,7 @@ func TestExplainCostOrderGolden(t *testing.T) {
 	}, "\n")
 	wantAfter := strings.Join([]string{
 		"Project (1 items, 0 order keys)",
-		"  ImplicitJoin (2 inputs) WHERE e.dept = d.name [cost-ordered]",
+		"  ImplicitJoin (2 inputs) WHERE e.dept = d.name",
 		"    Filter e.salary > 75",
 		"      Scan emp AS e",
 		"    Scan dept AS d",
@@ -80,19 +78,6 @@ func TestExplainCostOrderGolden(t *testing.T) {
 	}
 }
 
-func TestExplainBuildLeftHint(t *testing.T) {
-	// dept (3 rows) is smaller than emp (5 rows), so an INNER join with dept
-	// on the left builds left; an outer join must not flip the build side.
-	_, after := explain(t, "SELECT d.budget FROM dept d JOIN emp e ON d.name = e.dept")
-	if !strings.Contains(after, "[stream hash, build left]") {
-		t.Errorf("INNER plan lacks build-left hint:\n%s", after)
-	}
-	_, after = explain(t, "SELECT d.budget FROM dept d LEFT JOIN emp e ON d.name = e.dept")
-	if !strings.Contains(after, "[stream hash, build right]") {
-		t.Errorf("LEFT join plan should keep build right:\n%s", after)
-	}
-}
-
 func TestOptimizerSkipsUnresolvableRefs(t *testing.T) {
 	// "e.nosuch" matches emp's qualifier but no emp column: pushing it below
 	// the join could raise "unknown column" on a query whose unoptimized
@@ -100,64 +85,64 @@ func TestOptimizerSkipsUnresolvableRefs(t *testing.T) {
 	// A pushable conjunct BEFORE it still moves; one AFTER it must stay too
 	// (pushing past a fallible conjunct could drop the rows that would have
 	// triggered its error).
-	_, after := explain(t,
-		"SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE d.budget > 100 AND e.nosuch = 1 AND e.salary > 75")
+	const sql = "SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name WHERE d.budget > 100 AND e.nosuch = 1 AND e.salary > 75"
+	_, after := explain(t, sql)
 	if !strings.Contains(after, "Filter e.nosuch = 1 AND e.salary > 75") {
 		t.Errorf("conjuncts at or after the fallible one were not kept above the join:\n%s", after)
 	}
 	if !strings.Contains(after, "Filter d.budget > 100") {
 		t.Errorf("resolvable conjunct before the fallible one was not pushed:\n%s", after)
 	}
+	on, off, onErr, offErr := queryBoth(sql)
+	assertSame(t, sql, on, off, onErr, offErr)
 }
 
-// queryBoth runs sql on two engines over the same DB — optimizer on and off —
-// and returns both results.
+// queryBoth runs sql over testDB on the engine and on the unoptimized
+// reference engine and returns both results.
 func queryBoth(sql string) (on, off *Relation, onErr, offErr error) {
 	db := testDB()
-	eOn := New(db)
-	eOff := New(db)
-	eOff.Optimize = false
-	on, onErr = eOn.QuerySQL(sql)
-	off, offErr = eOff.QuerySQL(sql)
+	on, onErr = New(db).QuerySQL(sql)
+	off, offErr = NewReference(db).QuerySQL(sql)
 	return
 }
 
-// assertSame fails unless the optimized and unoptimized runs agreed exactly:
-// same error presence and message, same columns, same rows in the same order.
-func assertSame(t *testing.T, sql string, on, off *Relation, onErr, offErr error) {
+// assertSame fails unless two runs of sql agreed exactly: same error
+// presence and message, same columns, same rows in the same order. Callers
+// pass the run under test first and its reference second.
+func assertSame(t *testing.T, sql string, got, want *Relation, gotErr, wantErr error) {
 	t.Helper()
-	if (onErr == nil) != (offErr == nil) {
-		t.Fatalf("%q: error divergence: optimized=%v unoptimized=%v", sql, onErr, offErr)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q: error divergence: got %v, reference %v", sql, gotErr, wantErr)
 	}
-	if onErr != nil {
-		if onErr.Error() != offErr.Error() {
-			t.Fatalf("%q: error message divergence:\n  optimized:   %v\n  unoptimized: %v", sql, onErr, offErr)
+	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%q: error message divergence:\n  got:       %v\n  reference: %v", sql, gotErr, wantErr)
 		}
 		return
 	}
-	if len(on.Cols) != len(off.Cols) {
-		t.Fatalf("%q: column count %d != %d", sql, len(on.Cols), len(off.Cols))
+	if len(got.Cols) != len(want.Cols) {
+		t.Fatalf("%q: column count %d != %d", sql, len(got.Cols), len(want.Cols))
 	}
-	for i := range on.Cols {
-		if !strings.EqualFold(on.Cols[i].Name, off.Cols[i].Name) {
-			t.Fatalf("%q: column %d name %q != %q", sql, i, on.Cols[i].Name, off.Cols[i].Name)
+	for i := range got.Cols {
+		if !strings.EqualFold(got.Cols[i].Name, want.Cols[i].Name) {
+			t.Fatalf("%q: column %d name %q != %q", sql, i, got.Cols[i].Name, want.Cols[i].Name)
 		}
 	}
-	gotOn, gotOff := rowStrings(on), rowStrings(off)
-	if len(gotOn) != len(gotOff) {
-		t.Fatalf("%q: row count %d != %d", sql, len(gotOn), len(gotOff))
+	gotRows, wantRows := rowStrings(got), rowStrings(want)
+	if len(gotRows) != len(wantRows) {
+		t.Fatalf("%q: row count %d != %d", sql, len(gotRows), len(wantRows))
 	}
-	for i := range gotOn {
-		if gotOn[i] != gotOff[i] {
-			t.Fatalf("%q: row %d: %q != %q", sql, i, gotOn[i], gotOff[i])
+	for i := range gotRows {
+		if gotRows[i] != wantRows[i] {
+			t.Fatalf("%q: row %d: %q != %q", sql, i, gotRows[i], wantRows[i])
 		}
 	}
 }
 
-func TestStreamJoinParity(t *testing.T) {
+func TestPushdownParity(t *testing.T) {
 	queries := []string{
-		// All four outer-join flavors through the streaming path, with and
-		// without pushable predicates; dept-first INNER exercises BuildLeft.
+		// All four join flavors, with and without pushable predicates, and
+		// with either table on the left.
 		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name",
 		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 75",
 		"SELECT e.name, d.budget FROM emp e LEFT JOIN dept d ON e.dept = d.name",
@@ -168,15 +153,14 @@ func TestStreamJoinParity(t *testing.T) {
 		"SELECT d.budget, e.name FROM dept d JOIN emp e ON d.name = e.dept",
 		"SELECT d.budget, e.name FROM dept d JOIN emp e ON d.name = e.dept WHERE e.salary > 75 AND d.budget > 100",
 		"SELECT e.name FROM emp e CROSS JOIN dept d WHERE e.salary > 90",
-		// Non-equality ON falls back to the materializing join inside
-		// streamJoinOp.
+		// Non-equality ON: the nested-loop join.
 		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.salary > d.budget",
-		// Chained joins: the upper join streams over a streamed lower join.
+		// Chained joins, pushdown through both levels.
 		"SELECT e.name, d.budget, f.id FROM emp e JOIN dept d ON e.dept = d.name JOIN emp f ON d.name = f.dept",
 		// Derived-table inputs, with pushdown through the projection.
 		"SELECT x.n, d.budget FROM (SELECT name AS n, dept AS dp, salary AS s FROM emp) x JOIN dept d ON x.dp = d.name WHERE x.s > 75",
 		"SELECT x.n FROM (SELECT name AS n, salary AS s FROM emp ORDER BY s DESC) x WHERE x.s > 75",
-		// Implicit joins through the cost-order path guardrails.
+		// Implicit joins, with a single-input conjunct pushed below.
 		"SELECT e.name, d.budget FROM emp e, dept d WHERE e.dept = d.name AND e.salary > 75",
 		"SELECT e.name, f.name FROM emp e, dept d, emp f WHERE e.dept = d.name AND f.id = e.id",
 		// ORDER BY and aggregation above optimized joins.
@@ -189,7 +173,7 @@ func TestStreamJoinParity(t *testing.T) {
 	}
 }
 
-func TestStreamJoinErrorParity(t *testing.T) {
+func TestPushdownErrorParity(t *testing.T) {
 	queries := []string{
 		// Unknown and ambiguous columns in every clause position; the
 		// optimizer must not change which error (if any) surfaces.
@@ -211,67 +195,23 @@ func TestStreamJoinErrorParity(t *testing.T) {
 	}
 }
 
+// Pushdown below a nested-loop join must match the reference too. The
+// "AND 1 = 1" makes each ON clause more than a bare column equality, which
+// routes the join to the nested loop.
 func TestForceNestedLoopFallbackParity(t *testing.T) {
-	db := testDB()
-	eOn := New(db)
-	eOn.ForceNestedLoop = true
-	eOff := New(db)
-	eOff.Optimize = false
-	eOff.ForceNestedLoop = true
 	for _, sql := range []string{
-		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name WHERE e.salary > 75",
-		"SELECT e.name, d.budget FROM emp e FULL JOIN dept d ON e.dept = d.name",
-	} {
-		on, onErr := eOn.QuerySQL(sql)
-		off, offErr := eOff.QuerySQL(sql)
-		assertSame(t, sql, on, off, onErr, offErr)
-	}
-}
-
-func TestCostOrderRestoreParity(t *testing.T) {
-	// Force the cost-ordered path onto testDB's tiny inputs so the restore
-	// machinery (provenance columns, layout permutation) actually runs.
-	saved := minCostOrderRows
-	minCostOrderRows = 0
-	defer func() { minCostOrderRows = saved }()
-	for _, sql := range []string{
-		"SELECT e.name, d.budget FROM emp e, dept d WHERE e.dept = d.name",
-		"SELECT e.name, d.budget, f.id FROM emp e, dept d, emp f WHERE e.dept = d.name AND f.dept = d.name",
-		"SELECT e.name FROM emp e, dept d, emp f WHERE e.dept = d.name AND f.id = e.id AND f.salary > 75",
+		"SELECT e.name, d.budget FROM emp e JOIN dept d ON e.dept = d.name AND 1 = 1 WHERE e.salary > 75",
+		"SELECT e.name, d.budget FROM emp e FULL JOIN dept d ON e.dept = d.name AND 1 = 1",
 	} {
 		on, off, onErr, offErr := queryBoth(sql)
 		assertSame(t, sql, on, off, onErr, offErr)
 	}
 }
 
-func TestPlanCacheKeyIncludesOptimize(t *testing.T) {
-	// One engine, one statement pointer, flag toggled between queries: the
-	// cache must serve a plan compiled under the current flag, not the first.
-	e := New(testDB())
-	sel, err := sqlparse.ParseSelect(
-		"SELECT e.name FROM emp e JOIN dept d ON e.dept = d.name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	optimized := e.PlanOf(sel).String()
-	if !strings.Contains(optimized, "[stream hash") {
-		t.Fatalf("optimized plan lacks stream hint:\n%s", optimized)
-	}
-	e.Optimize = false
-	raw := e.PlanOf(sel).String()
-	if strings.Contains(raw, "[stream hash") {
-		t.Fatalf("unoptimized plan served from optimized cache entry:\n%s", raw)
-	}
-	rel1, err1 := e.Query(sel)
-	e.Optimize = true
-	rel2, err2 := e.Query(sel)
-	assertSame(t, "cache toggle", rel2, rel1, err2, err1)
-}
-
 // TestOptimizerDifferentialQuick fuzzes SELECTs over emp/dept — every join
 // flavor, predicates drawn from a pool that includes non-total expressions,
-// unknown and ambiguous columns — and requires the optimized and unoptimized
-// runs to agree exactly on errors, columns, rows, and row order.
+// unknown and ambiguous columns — and requires the engine and the reference
+// engine to agree exactly on errors, columns, rows, and row order.
 func TestOptimizerDifferentialQuick(t *testing.T) {
 	froms := []string{
 		"emp e, dept d",
@@ -324,8 +264,9 @@ func TestOptimizerDifferentialQuick(t *testing.T) {
 	}
 }
 
-// benchJoinDB builds a two-table instance sized so the join intermediates
-// dominate allocation: a 20k-row probe table and a 64-row build table.
+// benchJoinDB builds a two-table instance large enough that pushdown
+// changes the join's input sizes materially: a 20k-row probe table and a
+// 64-row build table.
 func benchJoinDB() *DB {
 	schema := catalog.NewSchema("bench")
 	schema.Add(catalog.T("big", "id", catalog.TypeInt, "v", catalog.TypeInt))
@@ -344,55 +285,22 @@ func benchJoinDB() *DB {
 	return db
 }
 
-// BenchmarkStreamJoinMemory measures the streaming hash join against the
-// materializing baseline on a filtered join: the optimized plan pushes the
-// filters below the join and streams the probe side, the unoptimized plan
-// materializes the full join output before filtering.
-func BenchmarkStreamJoinMemory(b *testing.B) {
-	const sql = "SELECT b.v, s.w FROM big b JOIN small s ON b.id = s.id WHERE b.v > 50 AND s.w < 300"
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := benchJoinDB()
-	for _, mode := range []struct {
-		name     string
-		optimize bool
-	}{{"optimized", true}, {"unoptimized", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := New(db)
-			e.Optimize = mode.optimize
-			e.MaxRows = 10_000_000
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rel, err := e.Query(sel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rel.Rows) == 0 {
-					b.Fatal("empty result")
-				}
-			}
-		})
-	}
-}
-
-// sanity check for benchJoinDB row counts used in the memory benchmark
-// (guards against the fixture silently degenerating).
+// A filtered join over inputs far larger than testDB's: the pushed-down
+// plan must match the reference exactly and do less work.
 func TestBenchJoinDBParity(t *testing.T) {
 	db := benchJoinDB()
 	eOn := New(db)
 	eOn.MaxRows = 10_000_000
-	eOff := New(db)
+	eOff := NewReference(db)
 	eOff.MaxRows = 10_000_000
-	eOff.Optimize = false
 	sql := "SELECT b.v, s.w FROM big b JOIN small s ON b.id = s.id WHERE b.v > 50 AND s.w < 300"
 	on, onErr := eOn.QuerySQL(sql)
 	off, offErr := eOff.QuerySQL(sql)
 	assertSame(t, sql, on, off, onErr, offErr)
 	if len(on.Rows) == 0 {
-		t.Fatal("benchmark query returns no rows")
+		t.Fatal("query returns no rows")
 	}
-	_ = fmt.Sprintf
+	if eOn.Ops() >= eOff.Ops() {
+		t.Errorf("pushdown did not reduce row ops: %d >= %d", eOn.Ops(), eOff.Ops())
+	}
 }

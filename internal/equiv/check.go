@@ -231,11 +231,6 @@ type Checker struct {
 	// threaded through to each engine's intra-query parallelism (grouped
 	// aggregation and set operations). 0 or 1 executes sequentially.
 	Parallel int
-	// NoOptimize executes queries without the engine's plan optimizer
-	// (predicate pushdown, join reordering, streaming hash joins). Verdicts
-	// and row outputs are byte-identical either way; the switch exists for
-	// ablation and differential testing.
-	NoOptimize bool
 	// StoreDir, when set, backs instances with the durable storage engine
 	// instead of in-memory relations: the schema's tables are created once in
 	// a single store under this directory, each seed loads its rows inside a
@@ -303,7 +298,6 @@ func (c *Checker) EquivalentCtx(ctx context.Context, a, b *sqlast.SelectStmt) (b
 		}
 		e := engine.New(c.instance(seed, rows))
 		e.Parallel = c.Parallel
-		e.Optimize = !c.NoOptimize
 		defer func() { c.engineOps.Add(e.Ops()) }()
 		ra, err := e.QueryCtx(ctx, a)
 		if err != nil {

@@ -79,7 +79,6 @@ func (c *Checker) checkSeedStore(ctx context.Context, seed int64, rows int, a, b
 	db.Source = ses
 	e := engine.New(db)
 	e.Parallel = c.Parallel
-	e.Optimize = !c.NoOptimize
 	defer func() { c.engineOps.Add(e.Ops()) }()
 	ra, err := e.QueryCtx(ctx, a)
 	if err != nil {

@@ -70,17 +70,14 @@ func TestStoreBackedQueriesMatchInMemory(t *testing.T) {
 			t.Fatalf("in-memory query failed: %s: %v", sql, err)
 		}
 		for _, parallel := range []int{1, 8} {
-			for _, optimize := range []bool{true, false} {
-				e := engine.New(sdb)
-				e.Parallel = parallel
-				e.Optimize = optimize
-				got, err := e.Query(sel)
-				if err != nil {
-					t.Fatalf("store query failed (parallel=%d optimize=%v): %s: %v", parallel, optimize, sql, err)
-				}
-				if !engine.EqualRelations(want, got, true) {
-					t.Errorf("store results diverge from memory (parallel=%d optimize=%v): %s", parallel, optimize, sql)
-				}
+			e := engine.New(sdb)
+			e.Parallel = parallel
+			got, err := e.Query(sel)
+			if err != nil {
+				t.Fatalf("store query failed (parallel=%d): %s: %v", parallel, sql, err)
+			}
+			if !engine.EqualRelations(want, got, true) {
+				t.Errorf("store results diverge from memory (parallel=%d): %s", parallel, sql)
 			}
 		}
 	}
