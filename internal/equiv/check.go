@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/catalog"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/runner"
 	"repro/internal/sqlast"
-	"repro/internal/store"
 )
 
 // RuleEquivalent reports whether two SELECTs are equivalent under the
@@ -231,22 +229,9 @@ type Checker struct {
 	// threaded through to each engine's intra-query parallelism (grouped
 	// aggregation and set operations). 0 or 1 executes sequentially.
 	Parallel int
-	// StoreDir, when set, backs instances with the durable storage engine
-	// instead of in-memory relations: the schema's tables are created once in
-	// a single store under this directory, each seed loads its rows inside a
-	// transaction, both queries stream over heap scans, and the transaction
-	// rolls back — so every seed reuses the same heap files instead of
-	// rebuilding a store. Call Close when done.
-	StoreDir string
-	// StorePoolPages sizes the store's buffer pool (0 = store default).
-	StorePoolPages int
 
 	instances runner.Flight[instanceKey, *engine.DB]
 	engineOps atomic.Int64
-
-	storeOnce sync.Once
-	store     *store.Store
-	storeErr  error
 }
 
 // Ops returns the total engine row operations executed by this checker's
@@ -293,9 +278,6 @@ func (c *Checker) EquivalentCtx(ctx context.Context, a, b *sqlast.SelectStmt) (b
 		rows = 24
 	}
 	check := func(ctx context.Context, seed int64) (bool, error) {
-		if c.StoreDir != "" {
-			return c.checkSeedStore(ctx, seed, rows, a, b)
-		}
 		e := engine.New(c.instance(seed, rows))
 		e.Parallel = c.Parallel
 		defer func() { c.engineOps.Add(e.Ops()) }()

@@ -163,8 +163,9 @@ func Providers(k *sim.Knowledge) map[string]llm.Factory {
 
 // NewEnvConfig builds the benchmark and the model registry — the five
 // calibrated simulators by default, or the configured spec set — with
-// explicit parallelism control. Every client is wrapped with llm.Instrument
-// so Env.Stats reports usage regardless of backend.
+// explicit parallelism control. Every client, default or configured, is
+// built from a spec by llm.BuildClient, so each carries the llm.request and
+// llm.attempt spans and the llm.Instrument layer that feeds Env.Stats.
 func NewEnvConfig(cfg Config) (*Env, error) {
 	// Root the whole environment under one "run" span (ended by Env.Close)
 	// so cells, examples, and engine executions nest under it. With no
@@ -217,47 +218,45 @@ func NewEnvConfig(cfg Config) (*Env, error) {
 		env.stores = append(env.stores, store)
 		return llm.Chain(c, checkpoint.Middleware(store)), nil
 	}
+	specs := cfg.Models
+	if len(specs) == 0 {
+		specs = defaultSpecs()
+	}
+	providers := Providers(knowledge)
 	reg := llm.NewRegistry()
-	models := llm.ModelNames
-	if len(cfg.Models) == 0 {
-		for _, name := range llm.ModelNames {
-			m, err := sim.New(name, knowledge)
-			if err != nil {
-				env.Close()
-				return nil, fmt.Errorf("building simulator %s: %w", name, err)
-			}
-			c, err := wrap(llm.Chain(m, llm.Trace("llm.request"), llm.Instrument(stats)))
-			if err != nil {
-				env.Close()
-				return nil, err
-			}
-			reg.Register(c)
+	models := make([]string, 0, len(specs))
+	for _, spec := range specs {
+		var c llm.Client
+		if cfg.ClientCache != nil && spec.Provider != "sim" {
+			c, err = cfg.ClientCache.Build(spec, providers, stats)
+		} else {
+			c, err = llm.BuildClient(spec, providers, stats)
 		}
-	} else {
-		providers := Providers(knowledge)
-		models = make([]string, 0, len(cfg.Models))
-		for _, spec := range cfg.Models {
-			var c llm.Client
-			if cfg.ClientCache != nil && spec.Provider != "sim" {
-				c, err = cfg.ClientCache.Build(spec, providers, stats)
-			} else {
-				c, err = llm.BuildClient(spec, providers, stats)
-			}
-			if err == nil {
-				c, err = wrap(c)
-			}
-			if err != nil {
-				env.Close()
-				return nil, fmt.Errorf("building model registry: %w", err)
-			}
-			reg.Register(c)
-			models = append(models, spec.Name)
+		if err == nil {
+			c, err = wrap(c)
 		}
+		if err != nil {
+			env.Close()
+			return nil, fmt.Errorf("building model registry: %w", err)
+		}
+		reg.Register(c)
+		models = append(models, spec.Name)
 	}
 	env.Bench = bench
 	env.Registry = reg
 	env.Models = models
 	return env, nil
+}
+
+// defaultSpecs is the model set an environment builds when Config.Models is
+// empty: the five calibrated simulators, in the paper's order, with no
+// middleware beyond the tracing and instrumentation every spec gets.
+func defaultSpecs() []llm.Spec {
+	specs := make([]llm.Spec, len(llm.ModelNames))
+	for i, name := range llm.ModelNames {
+		specs[i] = llm.Spec{Name: name, Provider: "sim"}
+	}
+	return specs
 }
 
 // NewEnv builds the benchmark and the five simulated models with the default

@@ -32,8 +32,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.EnvCacheSize.Store(int64(s.envs.Len()))
-	s.metrics.ArtifactCacheSize.Store(int64(s.artifacts.Len()))
+	s.syncCacheMetrics()
 	// Service counters at the top level (stable keys), per-model usage
 	// telemetry nested under "models".
 	payload := make(map[string]any)

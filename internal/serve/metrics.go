@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"encoding/json"
 	"expvar"
 	"sync"
 	"sync/atomic"
 )
 
 // Metrics holds the service's operational counters. All fields are atomics;
-// a Metrics value is safe for concurrent use. Snapshot() is what both the
-// /v1/metrics endpoint and the expvar bridge serialize.
+// a Metrics value is safe for concurrent use. serviceCounters lists them in
+// the order and under the names every metrics surface renders.
 type Metrics struct {
 	// Requests counts every HTTP request received, including errors.
 	Requests atomic.Int64
@@ -74,23 +73,52 @@ func (m *Metrics) FailedByTask() map[string]int64 {
 // NewMetrics returns zeroed metrics.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// Snapshot returns a point-in-time view suitable for JSON encoding.
+// serviceCounters is the one table of service counters. Every metrics
+// surface renders it: the /v1/metrics JSON and the expvar bridge under key,
+// the Prometheus exposition as sqlserved_<key> with typ and help, in this
+// order (so the scrape output is deterministic and diffable).
+var serviceCounters = []struct {
+	key  string
+	typ  string // Prometheus type: "counter" or "gauge"
+	help string
+	load func(*Metrics) int64
+}{
+	{"requests_total", "counter", "HTTP requests received, including errors.",
+		func(m *Metrics) int64 { return m.Requests.Load() }},
+	{"eval_requests", "counter", "POST /v1/eval/* requests received.",
+		func(m *Metrics) int64 { return m.EvalRequests.Load() }},
+	{"experiment_requests", "counter", "GET /v1/experiments/* requests received.",
+		func(m *Metrics) int64 { return m.ExperimentRequests.Load() }},
+	{"results_streamed", "counter", "NDJSON eval result lines written.",
+		func(m *Metrics) int64 { return m.ResultsStreamed.Load() }},
+	{"coalesce_hits", "counter", "Requests served by joining an in-flight or cached computation.",
+		func(m *Metrics) int64 { return m.CoalesceHits.Load() }},
+	{"in_flight", "gauge", "Requests currently being served.",
+		func(m *Metrics) int64 { return m.InFlight.Load() }},
+	{"env_cache_size", "gauge", "Cached evaluation environments.",
+		func(m *Metrics) int64 { return m.EnvCacheSize.Load() }},
+	{"artifact_cache_size", "gauge", "Cached rendered artifacts.",
+		func(m *Metrics) int64 { return m.ArtifactCacheSize.Load() }},
+	{"cache_evictions", "counter", "Cache entries evicted to honor LRU caps.",
+		func(m *Metrics) int64 { return m.CacheEvictions.Load() }},
+	{"rate_limited", "counter", "Requests rejected 429 by request-rate admission control.",
+		func(m *Metrics) int64 { return m.RateLimited.Load() }},
+	{"token_limited", "counter", "Eval requests rejected 429 by the completion-token budget.",
+		func(m *Metrics) int64 { return m.TokenLimited.Load() }},
+	{"failed_examples", "counter", "Inline error rows streamed by continue-on-error evals.",
+		func(m *Metrics) int64 { return m.FailedExamples.Load() }},
+	{"breaker_sheds", "counter", "Eval requests rejected 503 while a model breaker was open.",
+		func(m *Metrics) int64 { return m.BreakerSheds.Load() }},
+}
+
+// Snapshot returns a point-in-time view of the service counters, keyed as
+// in serviceCounters.
 func (m *Metrics) Snapshot() map[string]int64 {
-	return map[string]int64{
-		"requests_total":      m.Requests.Load(),
-		"eval_requests":       m.EvalRequests.Load(),
-		"experiment_requests": m.ExperimentRequests.Load(),
-		"results_streamed":    m.ResultsStreamed.Load(),
-		"coalesce_hits":       m.CoalesceHits.Load(),
-		"in_flight":           m.InFlight.Load(),
-		"env_cache_size":      m.EnvCacheSize.Load(),
-		"artifact_cache_size": m.ArtifactCacheSize.Load(),
-		"cache_evictions":     m.CacheEvictions.Load(),
-		"rate_limited":        m.RateLimited.Load(),
-		"token_limited":       m.TokenLimited.Load(),
-		"failed_examples":     m.FailedExamples.Load(),
-		"breaker_sheds":       m.BreakerSheds.Load(),
+	out := make(map[string]int64, len(serviceCounters))
+	for _, c := range serviceCounters {
+		out[c.key] = c.load(m)
 	}
+	return out
 }
 
 // Publish registers the metrics under the given expvar name so they appear
@@ -98,9 +126,4 @@ func (m *Metrics) Snapshot() map[string]int64 {
 // with the same name panics (expvar semantics), so the binary does it once.
 func (m *Metrics) Publish(name string) {
 	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
-}
-
-// MarshalJSON lets a Metrics pointer be encoded directly.
-func (m *Metrics) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.Snapshot())
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -73,7 +74,7 @@ func TestRequestIDPropagated(t *testing.T) {
 	}
 }
 
-// An eval request's whole span tree — http.request down to llm.request —
+// An eval request's whole span tree — http.request down to llm.attempt —
 // must land in the /v1/trace ring under the propagated trace id.
 func TestTraceEndpoint(t *testing.T) {
 	_, url := testServerAndURL(t)
@@ -103,10 +104,9 @@ func TestTraceEndpoint(t *testing.T) {
 			names[s.Name]++
 		}
 	}
-	// The default simulated clients carry no retry middleware, so the tree
-	// bottoms out at llm.request; spec-built clients add llm.attempt spans
-	// (covered in the llm package tests).
-	for _, want := range []string{"http.request", "task.example", "prompt.render", "llm.request"} {
+	// The default simulated clients are built from specs like any other, so
+	// each request span has an llm.attempt child even without retrying.
+	for _, want := range []string{"http.request", "task.example", "prompt.render", "llm.request", "llm.attempt"} {
 		if names[want] == 0 {
 			t.Errorf("trace %s has no %q span (got %v)", id, want, names)
 		}
@@ -184,7 +184,7 @@ func TestPromExposition(t *testing.T) {
 	if err := json.NewDecoder(jsonResp.Body).Decode(&payload); err != nil {
 		t.Fatalf("decode metrics: %v", err)
 	}
-	for _, m := range promServiceMetrics {
+	for _, m := range serviceCounters {
 		got, ok := samples["sqlserved_"+m.key]
 		if !ok {
 			t.Errorf("exposition missing sqlserved_%s", m.key)
@@ -205,6 +205,67 @@ func TestPromExposition(t *testing.T) {
 	}
 	if samples[`sqlserved_model_requests{model="GPT4"}`] < 1 {
 		t.Errorf("model requests sample missing or zero")
+	}
+	// Per-model counters agree with the JSON endpoint's models section the
+	// same way: never ahead of the later scrape. JSON omits zero-valued
+	// optional fields, which therefore read as 0.
+	gpt4, _ := payload["models"].(map[string]any)["GPT4"].(map[string]any)
+	for _, m := range promModelCounters {
+		name := `sqlserved_model_` + m.name + `{model="GPT4"}`
+		got, ok := samples[name]
+		if !ok {
+			t.Errorf("exposition missing %s", name)
+			continue
+		}
+		want, _ := gpt4[m.name].(float64)
+		if got > want {
+			t.Errorf("%s: prom %v > later json models.GPT4.%s %v", name, got, m.name, want)
+		}
+	}
+
+	// The metric families are pinned: name, type and order. The by-task
+	// family appears only once some eval (on this shared server) has
+	// streamed a failed row, and then right after breaker_sheds.
+	wantTypes := []string{
+		"sqlserved_requests_total counter",
+		"sqlserved_eval_requests counter",
+		"sqlserved_experiment_requests counter",
+		"sqlserved_results_streamed counter",
+		"sqlserved_coalesce_hits counter",
+		"sqlserved_in_flight gauge",
+		"sqlserved_env_cache_size gauge",
+		"sqlserved_artifact_cache_size gauge",
+		"sqlserved_cache_evictions counter",
+		"sqlserved_rate_limited counter",
+		"sqlserved_token_limited counter",
+		"sqlserved_failed_examples counter",
+		"sqlserved_breaker_sheds counter",
+		"sqlserved_model_requests counter",
+		"sqlserved_model_errors counter",
+		"sqlserved_model_retries counter",
+		"sqlserved_model_rate_limited counter",
+		"sqlserved_model_prompt_tokens counter",
+		"sqlserved_model_completion_tokens counter",
+		"sqlserved_model_breaker_opens counter",
+		"sqlserved_model_breaker_fast_fails counter",
+		"sqlserved_model_hedges_launched counter",
+		"sqlserved_model_hedges_won counter",
+		"sqlserved_model_latency_seconds histogram",
+		"sqlserved_trace_spans gauge",
+		"sqlserved_trace_evicted_total counter",
+	}
+	const byTask = "sqlserved_failed_examples_by_task counter"
+	var gotTypes []string
+	for _, line := range strings.Split(body, "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			gotTypes = append(gotTypes, typ)
+		}
+	}
+	if slices.Contains(gotTypes, byTask) {
+		wantTypes = slices.Insert(wantTypes, 13, byTask)
+	}
+	if !slices.Equal(gotTypes, wantTypes) {
+		t.Errorf("# TYPE lines:\n got %q\nwant %q", gotTypes, wantTypes)
 	}
 
 	// Histogram invariants: bucket counts are cumulative (nondecreasing in

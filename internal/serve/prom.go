@@ -7,55 +7,27 @@ import (
 	"sort"
 	"strconv"
 	"time"
-)
 
-// promServiceMetrics maps the /v1/metrics JSON keys onto the Prometheus
-// exposition: same counters, same values, text format. Order is fixed so the
-// scrape output is deterministic (and trivially diffable in tests).
-var promServiceMetrics = []struct {
-	key  string // Metrics.Snapshot key
-	typ  string // "counter" or "gauge"
-	help string
-}{
-	{"requests_total", "counter", "HTTP requests received, including errors."},
-	{"eval_requests", "counter", "POST /v1/eval/* requests received."},
-	{"experiment_requests", "counter", "GET /v1/experiments/* requests received."},
-	{"results_streamed", "counter", "NDJSON eval result lines written."},
-	{"coalesce_hits", "counter", "Requests served by joining an in-flight or cached computation."},
-	{"in_flight", "gauge", "Requests currently being served."},
-	{"env_cache_size", "gauge", "Cached evaluation environments."},
-	{"artifact_cache_size", "gauge", "Cached rendered artifacts."},
-	{"cache_evictions", "counter", "Cache entries evicted to honor LRU caps."},
-	{"rate_limited", "counter", "Requests rejected 429 by request-rate admission control."},
-	{"token_limited", "counter", "Eval requests rejected 429 by the completion-token budget."},
-	{"failed_examples", "counter", "Inline error rows streamed by continue-on-error evals."},
-	{"breaker_sheds", "counter", "Eval requests rejected 503 while a model breaker was open."},
-}
+	"repro/internal/llm"
+)
 
 // promModelCounters are the per-model counters, one {model="..."} labeled
 // sample per model with recorded stats.
 var promModelCounters = []struct {
 	name string
 	help string
-	load func(*modelCounterSnap) int64
+	load func(llm.ModelSnapshot) int64
 }{
-	{"requests", "Logical requests entering the model client.", func(m *modelCounterSnap) int64 { return m.requests }},
-	{"errors", "Requests that failed after any retrying.", func(m *modelCounterSnap) int64 { return m.errors }},
-	{"retries", "Retry attempts scheduled.", func(m *modelCounterSnap) int64 { return m.retries }},
-	{"rate_limited", "Requests made to wait for a rate-limit token.", func(m *modelCounterSnap) int64 { return m.rateLimited }},
-	{"prompt_tokens", "Prompt tokens consumed.", func(m *modelCounterSnap) int64 { return m.promptTokens }},
-	{"completion_tokens", "Completion tokens consumed.", func(m *modelCounterSnap) int64 { return m.completionTokens }},
-	{"breaker_opens", "Circuit-breaker transitions into the open state.", func(m *modelCounterSnap) int64 { return m.breakerOpens }},
-	{"breaker_fast_fails", "Requests shed by an open or probing breaker.", func(m *modelCounterSnap) int64 { return m.breakerFastFails }},
-	{"hedges_launched", "Hedged extra attempts raced.", func(m *modelCounterSnap) int64 { return m.hedgesLaunched }},
-	{"hedges_won", "Requests answered by a hedge instead of the primary.", func(m *modelCounterSnap) int64 { return m.hedgesWon }},
-}
-
-type modelCounterSnap struct {
-	requests, errors, retries, rateLimited int64
-	promptTokens, completionTokens         int64
-	breakerOpens, breakerFastFails         int64
-	hedgesLaunched, hedgesWon              int64
+	{"requests", "Logical requests entering the model client.", func(m llm.ModelSnapshot) int64 { return m.Requests }},
+	{"errors", "Requests that failed after any retrying.", func(m llm.ModelSnapshot) int64 { return m.Errors }},
+	{"retries", "Retry attempts scheduled.", func(m llm.ModelSnapshot) int64 { return m.Retries }},
+	{"rate_limited", "Requests made to wait for a rate-limit token.", func(m llm.ModelSnapshot) int64 { return m.RateLimited }},
+	{"prompt_tokens", "Prompt tokens consumed.", func(m llm.ModelSnapshot) int64 { return m.PromptTokens }},
+	{"completion_tokens", "Completion tokens consumed.", func(m llm.ModelSnapshot) int64 { return m.CompletionTokens }},
+	{"breaker_opens", "Circuit-breaker transitions into the open state.", func(m llm.ModelSnapshot) int64 { return m.BreakerOpens }},
+	{"breaker_fast_fails", "Requests shed by an open or probing breaker.", func(m llm.ModelSnapshot) int64 { return m.BreakerFastFails }},
+	{"hedges_launched", "Hedged extra attempts raced.", func(m llm.ModelSnapshot) int64 { return m.HedgesLaunched }},
+	{"hedges_won", "Requests answered by a hedge instead of the primary.", func(m llm.ModelSnapshot) int64 { return m.HedgesWon }},
 }
 
 // handleMetricsProm serves the counters of /v1/metrics in Prometheus text
@@ -66,11 +38,10 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	s.syncCacheMetrics()
 	var b bytes.Buffer
 
-	snap := s.metrics.Snapshot()
-	for _, m := range promServiceMetrics {
-		name := "sqlserved_" + m.key
-		promHeader(&b, name, m.typ, m.help)
-		fmt.Fprintf(&b, "%s %d\n", name, snap[m.key])
+	for _, c := range serviceCounters {
+		name := "sqlserved_" + c.key
+		promHeader(&b, name, c.typ, c.help)
+		fmt.Fprintf(&b, "%s %d\n", name, c.load(s.metrics))
 	}
 
 	if byTask := s.metrics.FailedByTask(); len(byTask) > 0 {
@@ -86,29 +57,18 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	names := s.llmStats.Names()
-	if len(names) > 0 {
-		counters := make(map[string]*modelCounterSnap, len(names))
-		for _, name := range names {
-			ms := s.llmStats.Model(name)
-			counters[name] = &modelCounterSnap{
-				requests:         ms.Requests.Load(),
-				errors:           ms.Errors.Load(),
-				retries:          ms.Retries.Load(),
-				rateLimited:      ms.RateLimited.Load(),
-				promptTokens:     ms.PromptTokens.Load(),
-				completionTokens: ms.CompletionTokens.Load(),
-				breakerOpens:     ms.BreakerOpens.Load(),
-				breakerFastFails: ms.BreakerFastFails.Load(),
-				hedgesLaunched:   ms.HedgesLaunched.Load(),
-				hedgesWon:        ms.HedgesWon.Load(),
-			}
+	models := s.llmStats.Snapshot()
+	if len(models) > 0 {
+		names := make([]string, 0, len(models))
+		for name := range models {
+			names = append(names, name)
 		}
+		sort.Strings(names)
 		for _, m := range promModelCounters {
 			name := "sqlserved_model_" + m.name
 			promHeader(&b, name, "counter", m.help)
 			for _, model := range names {
-				fmt.Fprintf(&b, "%s{model=%q} %d\n", name, model, m.load(counters[model]))
+				fmt.Fprintf(&b, "%s{model=%q} %d\n", name, model, m.load(models[model]))
 			}
 		}
 		promHeader(&b, "sqlserved_model_latency_seconds", "histogram",
