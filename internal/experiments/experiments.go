@@ -65,6 +65,10 @@ type Env struct {
 	failMu   sync.Mutex
 	failures map[string][]CellFailure
 
+	// knowledge is the context the environment's simulators resolve
+	// against, memoizing the oracle facts of the benchmark's statements.
+	knowledge *sim.Knowledge
+
 	// traceCtx carries the environment's tracer and run span (when one was
 	// configured) into every task run; runSpan is the root "run" span Close
 	// ends.
@@ -188,7 +192,7 @@ func NewEnvConfig(cfg Config) (*Env, error) {
 		runSpan.End()
 		return nil, fmt.Errorf("building benchmark: %w", err)
 	}
-	knowledge := sim.NewKnowledge(bench.SchemasByDataset())
+	knowledge := NewKnowledge(bench)
 	stats := cfg.Stats
 	if stats == nil {
 		stats = llm.NewStats()
@@ -198,6 +202,7 @@ func NewEnvConfig(cfg Config) (*Env, error) {
 		Parallel:        cfg.Parallel,
 		ContinueOnError: cfg.ContinueOnError,
 		MaxFailures:     cfg.MaxFailures,
+		knowledge:       knowledge,
 		traceCtx:        traceCtx,
 		runSpan:         runSpan,
 	}
@@ -246,6 +251,29 @@ func NewEnvConfig(cfg Config) (*Env, error) {
 	env.Registry = reg
 	env.Models = models
 	return env, nil
+}
+
+// NewKnowledge builds the simulators' knowledge context for a benchmark. It
+// memoizes the oracle facts of exactly the statements the benchmark's task
+// cells hold — single statements, and the pairs of pair tasks — so the
+// models share one analysis per statement, while statements from anywhere
+// else are analyzed per request and never retained.
+func NewKnowledge(b *core.Benchmark) *sim.Knowledge {
+	var stmts []string
+	var pairs [][2]string
+	for _, task := range core.Tasks() {
+		for _, ds := range task.Datasets() {
+			cell, _ := task.Cell(b, ds)
+			for _, ex := range cell {
+				if task.PairInput() {
+					pairs = append(pairs, [2]string{ex.SQL[0], ex.SQL[1]})
+				} else {
+					stmts = append(stmts, ex.SQL[0])
+				}
+			}
+		}
+	}
+	return sim.NewBenchmarkKnowledge(b.SchemasByDataset(), stmts, pairs)
 }
 
 // defaultSpecs is the model set an environment builds when Config.Models is

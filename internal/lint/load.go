@@ -9,29 +9,38 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 )
 
-// listedPackage is the subset of `go list -json` output the loader
-// needs. Test files are deliberately excluded: the analyzers guard
-// production invariants, and test helpers legitimately use wall clocks
-// and environment variables.
+// listedPackage is the subset of `go list -export -deps -json` output
+// the loader needs. Test files are deliberately excluded: the analyzers
+// guard production invariants, and test helpers legitimately use wall
+// clocks and environment variables.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
+	// Export is the compiler's export-data file for the package; DepOnly
+	// marks packages listed only as dependencies of the patterns.
+	Export  string
+	DepOnly bool
 }
 
 // Load expands the given `go list` patterns (e.g. "./..."), parses each
-// matched package's non-test Go files, and type-checks them with the
-// stdlib source importer. It is the only place the framework shells
-// out; everything downstream is pure go/ast + go/types.
+// matched package's non-test Go files, and type-checks them. Imports
+// resolve through the export data `go list -export` has the go command
+// write (from its build cache, so a warm run compiles nothing), not by
+// type-checking every dependency from source again. It is the only place
+// the framework shells out; everything downstream is pure go/ast +
+// go/types.
 func Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-json"}, patterns...)
+	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -41,21 +50,31 @@ func Load(patterns ...string) ([]*Package, error) {
 	}
 
 	var listed []listedPackage
+	exports := map[string]string{}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for dec.More() {
 		var p listedPackage
 		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
 		}
-		if len(p.GoFiles) > 0 {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+		if !p.DepOnly && len(p.GoFiles) > 0 {
 			listed = append(listed, p)
 		}
 	}
 
 	fset := token.NewFileSet()
-	// One shared source importer: it memoizes type-checked dependencies
-	// (stdlib included) across all packages in the run.
-	imp := importer.ForCompiler(fset, "source", nil)
+	// One shared export-data importer: it memoizes imported packages
+	// across all packages in the run.
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 
 	var pkgs []*Package
 	for _, lp := range listed {

@@ -28,17 +28,65 @@ import (
 // Knowledge is the shared "pretraining" context the simulated models resolve
 // queries against: the union of the workload schemas, plus per-dataset table
 // sets used to infer which workload a query belongs to.
+//
+// A Knowledge built for a benchmark (NewBenchmarkKnowledge) also memoizes
+// the model-independent oracle facts of that benchmark's statements: each
+// statement's dataset, semantic diagnostics and missing-token repair, and
+// each equivalence pair's parse, classification, token diff and rule
+// verdict. The five models asking about one statement then compute them
+// once. The memo's keys are fixed at construction and each fact fills
+// lazily, exactly once; a statement outside the benchmark (ad-hoc caller
+// SQL) is analyzed on every call and never retained, so a long-lived
+// server's memory does not grow with what callers send.
 type Knowledge struct {
 	Merged        *catalog.Schema
 	datasetTables map[string]map[string]bool
+	checker       *semcheck.Checker
 
-	checker     *semcheck.Checker
-	checkCache  sync.Map // sql -> []semcheck.Diagnostic
-	repairCache sync.Map // sql -> repair.Result
+	stmts map[string]*stmtFacts
+	pairs map[[2]string]*lazy[pairFacts]
 }
 
-// NewKnowledge builds the context from per-dataset schemas.
+// lazy is one memoized fact: computed on first use, exactly once, and
+// read-only after that.
+type lazy[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (l *lazy[T]) get(compute func() T) T {
+	l.once.Do(func() { l.v = compute() })
+	return l.v
+}
+
+// stmtFacts are the memoized facts about one benchmark statement.
+type stmtFacts struct {
+	dataset lazy[string]
+	diags   lazy[[]semcheck.Diagnostic]
+	repair  lazy[repair.Result]
+}
+
+// pairFacts is the model-independent analysis of a query_equiv pair.
+type pairFacts struct {
+	dataset string // of the left statement
+	// parsed reports whether both sides parse as SELECTs; the fields below
+	// are set only when they do.
+	parsed         bool
+	guess          equiv.Type
+	added, removed int
+	rule           bool
+}
+
+// NewKnowledge builds the context from per-dataset schemas, with no memo:
+// every oracle fact is recomputed per request.
 func NewKnowledge(byDataset map[string]*catalog.Schema) *Knowledge {
+	return NewBenchmarkKnowledge(byDataset, nil, nil)
+}
+
+// NewBenchmarkKnowledge builds the context from per-dataset schemas and
+// memoizes the oracle facts of the given benchmark statements: stmts for
+// the single-statement tasks, pairs for query_equiv.
+func NewBenchmarkKnowledge(byDataset map[string]*catalog.Schema, stmts []string, pairs [][2]string) *Knowledge {
 	var all []*catalog.Schema
 	tables := make(map[string]map[string]bool, len(byDataset))
 	for ds, schema := range byDataset {
@@ -50,12 +98,41 @@ func NewKnowledge(byDataset map[string]*catalog.Schema) *Knowledge {
 		tables[ds] = set
 	}
 	merged := catalog.Merged("knowledge", all...)
-	return &Knowledge{
+	k := &Knowledge{
 		Merged:        merged,
 		datasetTables: tables,
 		checker:       semcheck.New(merged),
+		stmts:         make(map[string]*stmtFacts, len(stmts)),
+		pairs:         make(map[[2]string]*lazy[pairFacts], len(pairs)),
 	}
+	for _, sql := range stmts {
+		if k.stmts[sql] == nil {
+			k.stmts[sql] = &stmtFacts{}
+		}
+	}
+	for _, p := range pairs {
+		if k.pairs[p] == nil {
+			k.pairs[p] = &lazy[pairFacts]{}
+		}
+	}
+	return k
 }
+
+// Memoized reports whether the statement — or the pair, given two — is one
+// whose oracle facts this context memoizes.
+func (k *Knowledge) Memoized(sql ...string) bool {
+	switch len(sql) {
+	case 1:
+		return k.stmts[sql[0]] != nil
+	case 2:
+		return k.pairs[[2]string{sql[0], sql[1]}] != nil
+	}
+	return false
+}
+
+// MemoSize is the number of memo entries: distinct statements plus
+// distinct pairs. It is fixed at construction.
+func (k *Knowledge) MemoSize() int { return len(k.stmts) + len(k.pairs) }
 
 // DetectDataset infers which workload a query belongs to by matching its
 // identifiers against the per-dataset table sets.
@@ -101,22 +178,55 @@ func (k *Knowledge) DetectDataset(sql string) string {
 	return best
 }
 
-func (k *Knowledge) check(sql string) []semcheck.Diagnostic {
-	if v, ok := k.checkCache.Load(sql); ok {
-		return v.([]semcheck.Diagnostic)
+// dataset is DetectDataset through the memo.
+func (k *Knowledge) dataset(sql string) string {
+	compute := func() string { return k.DetectDataset(sql) }
+	if f := k.stmts[sql]; f != nil {
+		return f.dataset.get(compute)
 	}
-	diags := k.checker.CheckSQL(sql)
-	k.checkCache.Store(sql, diags)
-	return diags
+	return compute()
 }
 
-func (k *Knowledge) detectMissing(sql string) repair.Result {
-	if v, ok := k.repairCache.Load(sql); ok {
-		return v.(repair.Result)
+// check returns the statement's semantic diagnostics through the memo.
+func (k *Knowledge) check(sql string) []semcheck.Diagnostic {
+	compute := func() []semcheck.Diagnostic { return k.checker.CheckSQL(sql) }
+	if f := k.stmts[sql]; f != nil {
+		return f.diags.get(compute)
 	}
-	res := repair.Detect(sql, k.Merged)
-	k.repairCache.Store(sql, res)
-	return res
+	return compute()
+}
+
+// detectMissing returns the statement's missing-token repair through the
+// memo.
+func (k *Knowledge) detectMissing(sql string) repair.Result {
+	compute := func() repair.Result { return repair.Detect(sql, k.Merged) }
+	if f := k.stmts[sql]; f != nil {
+		return f.repair.get(compute)
+	}
+	return compute()
+}
+
+// pair returns the pair's analysis through the memo.
+func (k *Knowledge) pair(sql1, sql2 string) pairFacts {
+	compute := func() pairFacts { return k.analyzePair(sql1, sql2) }
+	if f := k.pairs[[2]string{sql1, sql2}]; f != nil {
+		return f.get(compute)
+	}
+	return compute()
+}
+
+func (k *Knowledge) analyzePair(sql1, sql2 string) pairFacts {
+	f := pairFacts{dataset: k.dataset(sql1)}
+	sel1, err1 := sqlparse.ParseSelect(sql1)
+	sel2, err2 := sqlparse.ParseSelect(sql2)
+	if err1 != nil || err2 != nil {
+		return f
+	}
+	f.parsed = true
+	f.guess = equiv.ClassifyPair(sel1, sel2)
+	f.added, f.removed = equiv.DiffStats(sql1, sql2)
+	f.rule = equiv.RuleEquivalent(sel1, sel2)
+	return f
 }
 
 // Model is one simulated LLM.
@@ -236,39 +346,43 @@ func (m *Model) simLatency(promptText string, completionTokens int) time.Duratio
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
+// Statements returns the task a simulated model infers from a prompt and
+// the statement(s) it reads there: one, or the two of a query_equiv pair.
+func Statements(promptText string) (prompt.Task, []string, bool) {
+	task, ok := prompt.DetectTask(promptText)
+	if !ok {
+		return "", nil, false
+	}
+	if task == prompt.QueryEquiv {
+		q1, q2, ok := prompt.ExtractQueryPair(promptText)
+		return task, []string{q1, q2}, ok
+	}
+	q, ok := prompt.ExtractQuery(promptText)
+	return task, []string{q}, ok
+}
+
 // answer renders the model's response text for a prompt.
 func (m *Model) answer(promptText string) string {
-	task, ok := prompt.DetectTask(promptText)
+	task, sql, ok := Statements(promptText)
 	if !ok {
 		return m.style().unsure
 	}
 	quality := promptQuality(promptText)
 	switch task {
 	case prompt.QueryEquiv:
-		q1, q2, ok := prompt.ExtractQueryPair(promptText)
-		if !ok {
-			return m.style().unsure
-		}
-		return m.answerEquiv(q1, q2, quality)
-	default:
-		q, ok := prompt.ExtractQuery(promptText)
-		if !ok {
-			return m.style().unsure
-		}
-		switch task {
-		case prompt.SyntaxError:
-			return m.answerSyntax(q, quality)
-		case prompt.MissToken:
-			return m.answerMissToken(q, quality)
-		case prompt.FillToken:
-			return m.answerFill(q, quality)
-		case prompt.PerfPred:
-			return m.answerPerf(q)
-		case prompt.QueryExp:
-			return m.answerExplain(q)
-		case prompt.TableState:
-			return m.answerState(q, quality)
-		}
+		return m.answerEquiv(sql[0], sql[1], quality)
+	case prompt.SyntaxError:
+		return m.answerSyntax(sql[0], quality)
+	case prompt.MissToken:
+		return m.answerMissToken(sql[0], quality)
+	case prompt.FillToken:
+		return m.answerFill(sql[0], quality)
+	case prompt.PerfPred:
+		return m.answerPerf(sql[0])
+	case prompt.QueryExp:
+		return m.answerExplain(sql[0])
+	case prompt.TableState:
+		return m.answerState(sql[0], quality)
 	}
 	return m.style().unsure
 }
@@ -362,7 +476,7 @@ func (m *Model) tilt(base, z float64) float64 {
 // syntax_error / syntax_error_type
 
 func (m *Model) answerSyntax(sql string, quality float64) string {
-	dataset := m.knowledge.DetectDataset(sql)
+	dataset := m.knowledge.dataset(sql)
 	target := m.profile.SyntaxError[dataset]
 	if target.Prec == 0 {
 		target = m.profile.SyntaxError[dsSDSS]
@@ -406,7 +520,7 @@ func (m *Model) answerSyntax(sql string, quality float64) string {
 // miss_token / miss_token_type / miss_token_loc
 
 func (m *Model) answerMissToken(sql string, quality float64) string {
-	dataset := m.knowledge.DetectDataset(sql)
+	dataset := m.knowledge.dataset(sql)
 	target := m.profile.MissToken[dataset]
 	if target.Prec == 0 {
 		target = m.profile.MissToken[dsSDSS]
@@ -454,7 +568,7 @@ func (m *Model) answerMissToken(sql string, quality float64) string {
 // are often plausible-but-wrong — which is precisely the difficulty
 // ordering the paper observes for token kinds.
 func (m *Model) answerFill(sql string, quality float64) string {
-	dataset := m.knowledge.DetectDataset(sql)
+	dataset := m.knowledge.dataset(sql)
 	target := m.profile.MissToken[dataset]
 	if target.Prec == 0 {
 		target = m.profile.MissToken[dsSDSS]
@@ -529,7 +643,7 @@ func maxInt(a, b int) int {
 // performance_pred
 
 func (m *Model) answerPerf(sql string) string {
-	dataset := m.knowledge.DetectDataset(sql)
+	dataset := m.knowledge.dataset(sql)
 	props := analyze.Compute(sql)
 	// The simulated models judge cost from surface features — how long and
 	// column-heavy the query looks — plus world knowledge of which SDSS
@@ -575,29 +689,25 @@ func countBigTables(sql string) int {
 // query_equiv / query_equiv_type
 
 func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
-	dataset := m.knowledge.DetectDataset(sql1)
-	target := m.profile.QueryEquiv[dataset]
+	f := m.knowledge.pair(sql1, sql2)
+	target := m.profile.QueryEquiv[f.dataset]
 	if target.Prec == 0 {
 		target = m.profile.QueryEquiv[dsSDSS]
 	}
 	st := m.style()
-	sel1, err1 := sqlparse.ParseSelect(sql1)
-	sel2, err2 := sqlparse.ParseSelect(sql2)
-	if err1 != nil || err2 != nil {
+	if !f.parsed {
 		return st.notEquivalent
 	}
 	key := sql1 + "\x00" + sql2
-	z := zWords(dataset, len(sqllex.Words(sql1)))
-	guessType := equiv.ClassifyPair(sel1, sel2)
+	z := zWords(f.dataset, len(sqllex.Words(sql1)))
 
-	added, removed := equiv.DiffStats(sql1, sql2)
 	sayEquivalent := false
 	switch {
-	case equiv.RuleEquivalent(sel1, sel2):
+	case f.rule:
 		// Provably equivalent under normalization: answer yes unless the
 		// model's (small) residual miss rate fires.
 		sayEquivalent = m.unit("equiv", "provable", key) >= m.tilt(target.missRate()*quality, z)
-	case added+removed <= 4 || added == 0:
+	case f.added+f.removed <= 4 || f.added == 0:
 		// A subtle token edit (changed value/operator/aggregate/join
 		// keyword) or pure deletion. The true answer is almost always "not
 		// equivalent"; the calibrated false-alarm rate — tilted upward for
@@ -609,10 +719,10 @@ func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
 		sayEquivalent = m.unit("equiv", "structural", key) >= m.tilt(target.missRate()*quality, z)
 	}
 
-	reported := guessType
-	acc := m.profile.EquivTypeAcc[dataset]
+	reported := f.guess
+	acc := m.profile.EquivTypeAcc[f.dataset]
 	if m.unit("equiv", "type", key) >= acc {
-		reported = equiv.ConfusePair(guessType)
+		reported = equiv.ConfusePair(f.guess)
 	}
 	if sayEquivalent {
 		return fmt.Sprintf(st.equivalent, reported)

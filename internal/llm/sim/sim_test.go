@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/catalog"
@@ -339,5 +340,51 @@ func TestBinaryTargetMath(t *testing.T) {
 	// fa = r(1-p)/p = 0.8*0.1/0.9
 	if got := b.falseAlarmRate(); got < 0.088 || got > 0.090 {
 		t.Errorf("falseAlarmRate = %v", got)
+	}
+}
+
+// TestMemoConcurrentCallers has many goroutines ask every model about the
+// same memoized statements at once — each fact fills exactly once under
+// the race — and requires the answers of a bare context.
+func TestMemoConcurrentCallers(t *testing.T) {
+	schemas := map[string]*catalog.Schema{"SDSS": catalog.SDSS()}
+	damaged := "SELECT plate SpecObj WHERE z > 0.5"
+	left, right := "SELECT plate FROM SpecObj WHERE z > 0.5", "SELECT plate FROM SpecObj WHERE 0.5 < z"
+	memo := NewBenchmarkKnowledge(schemas, []string{damaged, left}, [][2]string{{left, right}})
+	bare := NewKnowledge(schemas)
+	if !memo.Memoized(damaged) || !memo.Memoized(left, right) || memo.Memoized(right, left) || memo.MemoSize() != 3 {
+		t.Fatalf("memo keys wrong: size %d", memo.MemoSize())
+	}
+	prompts := []string{
+		prompt.Default(prompt.SyntaxError).Render(left),
+		prompt.Default(prompt.MissToken).Render(damaged),
+		prompt.Default(prompt.FillToken).Render(damaged),
+		prompt.Default(prompt.QueryEquiv).RenderPair(left, right),
+		prompt.Default(prompt.QueryEquiv).RenderPair(right, left), // not a key
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for _, name := range llm.ModelNames {
+		m, _ := New(name, memo)
+		ref, _ := New(name, bare)
+		for _, p := range prompts {
+			want, err := llm.Complete(ctx, ref, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got, err := llm.Complete(ctx, m, p); err != nil || got != want {
+						t.Errorf("%s: memoized answer %q (err %v), bare %q", name, got, err, want)
+					}
+				}()
+			}
+		}
+	}
+	wg.Wait()
+	if memo.MemoSize() != 3 {
+		t.Errorf("memo size %d after requests, want 3", memo.MemoSize())
 	}
 }

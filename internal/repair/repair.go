@@ -30,26 +30,90 @@ type Result struct {
 	Inserted string
 }
 
-// keyword candidates tried during repair, most common first.
+// candidate is one token repairAt tries to insert. Candidates are lexed
+// once, at package init, so a repair attempt is a token splice followed by
+// a parse: the damaged statement is never re-joined or re-lexed.
+type candidate struct {
+	tok  sqllex.Token
+	kind mutate.TokenKind
+}
+
+func lexCandidate(text string, kind mutate.TokenKind) candidate {
+	toks, err := sqllex.LexWords(text)
+	if err != nil || len(toks) != 1 {
+		panic("repair: candidate " + text + " is not one token")
+	}
+	return candidate{tok: toks[0], kind: kind}
+}
+
+// keywordCandidates are the keywords tried during repair, most common
+// first.
 var keywordCandidates = []string{
 	"SELECT", "FROM", "WHERE", "BY", "GROUP", "ON", "AND", "AS", "IN",
 	"JOIN", "ORDER", "HAVING", "BETWEEN", "VALUES", "INTO", "SET", "TABLE",
 }
 
+var (
+	// equalsCandidate leads at a gap flanked by value-like tokens, which
+	// most plausibly lost a comparison operator.
+	equalsCandidate = lexCandidate("=", mutate.TokComparison)
+	// operandCandidate leads right after a comparison operator, which most
+	// plausibly lost its literal operand.
+	operandCandidate = lexCandidate("0", mutate.TokValue)
+	// candidates is the order every gap tries after its leading guesses.
+	candidates = func() []candidate {
+		out := make([]candidate, 0, len(keywordCandidates)+4)
+		for _, kw := range keywordCandidates {
+			out = append(out, lexCandidate(kw, mutate.TokKeyword))
+		}
+		return append(out,
+			lexCandidate("x0", mutate.TokColumn), // identifier; kind refined by context
+			lexCandidate("0", mutate.TokValue),
+			lexCandidate("'v'", mutate.TokValue),
+			lexCandidate("=", mutate.TokComparison),
+		)
+	}()
+)
+
+// gapCandidates returns the candidates repairAt tries at a gap, in order.
+func gapCandidates(toks []sqllex.Token, gap int) []candidate {
+	var lead []candidate
+	if valueLike(toks, gap-1) && valueLike(toks, gap) {
+		lead = append(lead, equalsCandidate)
+	}
+	if gap > 0 && toks[gap-1].Kind == sqllex.Op && comparisonOp(toks[gap-1].Text) {
+		lead = append(lead, operandCandidate)
+	}
+	if lead == nil {
+		return candidates
+	}
+	return append(lead, candidates...)
+}
+
+// splice writes toks with tok inserted before index gap into buf, whose
+// length is len(toks)+1, and returns it.
+func splice(buf, toks []sqllex.Token, gap int, tok sqllex.Token) []sqllex.Token {
+	copy(buf, toks[:gap])
+	buf[gap] = tok
+	copy(buf[gap+1:], toks[gap:])
+	return buf
+}
+
 // Detect analyzes a possibly damaged query. When the query parses and is
 // semantically clean against the schema, it reports Found=false. Otherwise
 // it tries single-token insertions around the failure point and returns the
-// first repair that makes the query parse.
+// first repair that makes the query parse. The query is lexed and parsed
+// once; every later step reuses those tokens and that tree.
 func Detect(sql string, schema *catalog.Schema) Result {
 	toks, err := sqllex.LexWords(sql)
 	if err != nil || len(toks) == 0 {
 		return Result{Found: true, Kind: mutate.TokValue, WordIndex: 0, Inserted: "?"}
 	}
-	if _, perr := sqlparse.ParseStatement(sql); perr == nil {
-		return detectSemanticGap(sql, toks, schema)
-	} else {
+	stmt, perr := sqlparse.ParseTokens(toks)
+	if perr != nil {
 		return repairAt(sql, toks, failureIndex(perr, toks))
 	}
+	return detectSemanticGap(sql, toks, stmt, schema)
 }
 
 // failureIndex maps a parse error back to the index of the offending token.
@@ -69,10 +133,6 @@ func failureIndex(err error, toks []sqllex.Token) int {
 // repairAt tries inserting candidate tokens at gap positions around the
 // failure token.
 func repairAt(sql string, toks []sqllex.Token, fail int) Result {
-	texts := make([]string, len(toks))
-	for i, t := range toks {
-		texts[i] = t.Text
-	}
 	lo := fail - 3
 	if lo < 0 {
 		lo = 0
@@ -81,36 +141,10 @@ func repairAt(sql string, toks []sqllex.Token, fail int) Result {
 	if hi > len(toks) {
 		hi = len(toks)
 	}
-	type candidate struct {
-		text string
-		kind mutate.TokenKind
-	}
-	baseCandidates := func(gap int) []candidate {
-		var out []candidate
-		// A gap flanked by value-like tokens most plausibly lost a
-		// comparison operator; try it first there.
-		if valueLike(toks, gap-1) && valueLike(toks, gap) {
-			out = append(out, candidate{"=", mutate.TokComparison})
-		}
-		// A gap right after a comparison operator most plausibly lost the
-		// literal operand.
-		if gap > 0 && toks[gap-1].Kind == sqllex.Op && comparisonOp(toks[gap-1].Text) {
-			out = append(out, candidate{"0", mutate.TokValue})
-		}
-		for _, kw := range keywordCandidates {
-			out = append(out, candidate{kw, mutate.TokKeyword})
-		}
-		return append(out,
-			candidate{"x0", mutate.TokColumn}, // identifier; kind refined by context
-			candidate{"0", mutate.TokValue},
-			candidate{"'v'", mutate.TokValue},
-			candidate{"=", mutate.TokComparison},
-		)
-	}
+	buf := make([]sqllex.Token, len(toks)+1)
 	for gap := lo; gap <= hi; gap++ {
-		for _, c := range baseCandidates(gap) {
-			rebuilt := insertAt(texts, gap, c.text)
-			if _, err := sqlparse.ParseStatement(rebuilt); err == nil {
+		for _, c := range gapCandidates(toks, gap) {
+			if _, err := sqlparse.ParseTokens(splice(buf, toks, gap, c.tok)); err == nil {
 				kind := c.kind
 				if c.kind == mutate.TokColumn {
 					kind = classifyIdentGap(toks, gap)
@@ -119,7 +153,7 @@ func repairAt(sql string, toks []sqllex.Token, fail int) Result {
 					Found:     true,
 					Kind:      kind,
 					WordIndex: wordIndexOfToken(sql, toks, gap),
-					Inserted:  c.text,
+					Inserted:  c.tok.Text,
 				}
 			}
 		}
@@ -148,14 +182,6 @@ func valueLike(toks []sqllex.Token, i int) bool {
 		return true
 	}
 	return false
-}
-
-func insertAt(texts []string, gap int, tok string) string {
-	parts := make([]string, 0, len(texts)+1)
-	parts = append(parts, texts[:gap]...)
-	parts = append(parts, tok)
-	parts = append(parts, texts[gap:]...)
-	return strings.Join(parts, " ")
 }
 
 // classifyIdentGap decides whether an identifier inserted at the gap plays
@@ -236,31 +262,31 @@ func wordIndexOfToken(sql string, toks []sqllex.Token, gap int) int {
 // detectSemanticGap handles removals that leave the query parsable (dropped
 // aliases, AS keywords, or a dropped FROM that turns the table name into an
 // implicit alias): the semantic checker's diagnostics reveal them.
-func detectSemanticGap(sql string, toks []sqllex.Token, schema *catalog.Schema) Result {
+func detectSemanticGap(sql string, toks []sqllex.Token, stmt sqlast.Stmt, schema *catalog.Schema) Result {
 	if schema == nil {
 		return Result{}
 	}
 	// A SELECT with no FROM whose projection "alias" names a known table is
 	// the signature of a dropped FROM keyword.
-	if stmt, err := sqlparse.ParseStatement(sql); err == nil {
-		if sel, ok := stmt.(*sqlast.SelectStmt); ok && len(sel.From) == 0 {
-			for _, item := range sel.Items {
-				if item.Alias == "" {
-					continue
-				}
-				if _, found := schema.Table(item.Alias); !found {
-					continue
-				}
-				for i, t := range toks {
-					if (t.Kind == sqllex.Ident || t.Kind == sqllex.QuotedIdent) &&
-						strings.EqualFold(t.Val(), item.Alias) {
-						return Result{Found: true, Kind: mutate.TokKeyword, WordIndex: wordIndexOfToken(sql, toks, i), Inserted: "FROM"}
-					}
+	if sel, ok := stmt.(*sqlast.SelectStmt); ok && len(sel.From) == 0 {
+		for _, item := range sel.Items {
+			if item.Alias == "" {
+				continue
+			}
+			if _, found := schema.Table(item.Alias); !found {
+				continue
+			}
+			for i, t := range toks {
+				if (t.Kind == sqllex.Ident || t.Kind == sqllex.QuotedIdent) &&
+					strings.EqualFold(t.Val(), item.Alias) {
+					return Result{Found: true, Kind: mutate.TokKeyword, WordIndex: wordIndexOfToken(sql, toks, i), Inserted: "FROM"}
 				}
 			}
 		}
 	}
-	diags := semcheck.New(schema).CheckSQL(sql)
+	// Neither Check nor sqlast.Walk (fromTables) writes to the tree, so the
+	// one parse serves every step.
+	diags := semcheck.New(schema).Check(stmt)
 	if len(diags) == 0 {
 		return Result{}
 	}
@@ -269,7 +295,7 @@ func detectSemanticGap(sql string, toks []sqllex.Token, schema *catalog.Schema) 
 	case semcheck.CodeAliasAmbiguous:
 		// A dropped qualifier: the first unqualified reference that is
 		// ambiguous across the FROM tables marks the spot.
-		if idx, ok := firstAmbiguousRef(sql, toks, schema); ok {
+		if idx, ok := firstAmbiguousRef(sql, toks, stmt, schema); ok {
 			return Result{Found: true, Kind: mutate.TokAlias, WordIndex: idx, Inserted: ""}
 		}
 		return Result{Found: true, Kind: mutate.TokAlias, WordIndex: mid, Inserted: ""}
@@ -281,7 +307,7 @@ func detectSemanticGap(sql string, toks []sqllex.Token, schema *catalog.Schema) 
 		}
 		return Result{Found: true, Kind: mutate.TokAlias, WordIndex: mid, Inserted: ""}
 	case semcheck.CodeUnknownColumn:
-		if idx, ok := firstUnknownIdent(sql, toks, schema); ok {
+		if idx, ok := firstUnknownIdent(sql, toks, stmt, schema); ok {
 			return Result{Found: true, Kind: mutate.TokColumn, WordIndex: idx, Inserted: ""}
 		}
 		return Result{Found: true, Kind: mutate.TokColumn, WordIndex: mid, Inserted: ""}
@@ -306,13 +332,9 @@ func detectSemanticGap(sql string, toks []sqllex.Token, schema *catalog.Schema) 
 	}
 }
 
-// fromTables extracts the base tables referenced by the query's FROM
+// fromTables extracts the base tables referenced by the statement's FROM
 // clauses (resolvable against the schema).
-func fromTables(sql string, schema *catalog.Schema) []*catalog.Table {
-	stmt, err := sqlparse.ParseStatement(sql)
-	if err != nil {
-		return nil
-	}
+func fromTables(stmt sqlast.Stmt, schema *catalog.Schema) []*catalog.Table {
 	var out []*catalog.Table
 	sqlast.Walk(stmt, func(n sqlast.Node) bool {
 		if tn, ok := n.(*sqlast.TableName); ok {
@@ -327,8 +349,8 @@ func fromTables(sql string, schema *catalog.Schema) []*catalog.Table {
 
 // firstAmbiguousRef finds the first unqualified identifier whose name is a
 // column of at least two FROM tables.
-func firstAmbiguousRef(sql string, toks []sqllex.Token, schema *catalog.Schema) (int, bool) {
-	tables := fromTables(sql, schema)
+func firstAmbiguousRef(sql string, toks []sqllex.Token, stmt sqlast.Stmt, schema *catalog.Schema) (int, bool) {
+	tables := fromTables(stmt, schema)
 	if len(tables) < 2 {
 		return 0, false
 	}
@@ -357,8 +379,8 @@ func firstAmbiguousRef(sql string, toks []sqllex.Token, schema *catalog.Schema) 
 
 // firstUnknownIdent finds the first bare identifier that is neither a table,
 // a known column of the FROM tables, nor a function name.
-func firstUnknownIdent(sql string, toks []sqllex.Token, schema *catalog.Schema) (int, bool) {
-	tables := fromTables(sql, schema)
+func firstUnknownIdent(sql string, toks []sqllex.Token, stmt sqlast.Stmt, schema *catalog.Schema) (int, bool) {
+	tables := fromTables(stmt, schema)
 	aliases := map[string]bool{}
 	for i, t := range toks {
 		if i > 0 && toks[i-1].Is("AS") && (t.Kind == sqllex.Ident || t.Kind == sqllex.QuotedIdent) {

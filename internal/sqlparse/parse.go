@@ -46,6 +46,21 @@ func ParseStatement(sql string) (sqlast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.statement()
+}
+
+// ParseTokens is ParseStatement over already-lexed word tokens (the
+// sqllex.LexWords view, no comments). The parser reads only token kinds and
+// texts, plus positions for error reporting, so a caller can splice tokens
+// into a lexed statement and parse the result without re-lexing it. The
+// slice is not modified.
+func ParseTokens(toks []sqllex.Token) (sqlast.Stmt, error) {
+	return (&parser{toks: toks}).statement()
+}
+
+// statement parses the whole token stream as one statement with an
+// optional trailing semicolon.
+func (p *parser) statement() (sqlast.Stmt, error) {
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err

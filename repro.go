@@ -90,10 +90,11 @@ func BuildBenchmark(seed int64, verifyEquivalences bool) (*Benchmark, error) {
 }
 
 // NewSimRegistry returns the five simulated models, constructed over the
-// benchmark's schemas. Any Client implementation (e.g. an HTTP-backed one)
-// can be Registered alongside or instead of them.
+// benchmark's schemas and sharing one analysis of each of its statements.
+// Any Client implementation (e.g. an HTTP-backed one) can be Registered
+// alongside or instead of them.
 func NewSimRegistry(b *Benchmark) *Registry {
-	return sim.Registry(sim.NewKnowledge(b.SchemasByDataset()))
+	return sim.Registry(experiments.NewKnowledge(b))
 }
 
 // The typed Run*Task helpers drive the registry entries through the one
