@@ -55,22 +55,25 @@ type wireRequest struct {
 }
 
 // answer picks a deterministic, respparse-compatible reply per task so
-// streamed eval results carry real predictions, not parse failures.
-func answer(prompt string) string {
-	lower := strings.ToLower(prompt)
-	switch {
-	case strings.Contains(lower, "exact missing token"):
+// streamed eval results carry real predictions, not parse failures. The
+// task is the one prompt.DetectTask reads from the instruction, so every
+// template variant gets its task's reply; an unrecognised prompt gets the
+// syntax reply.
+func answer(promptText string) string {
+	task, _ := prompt.DetectTask(promptText)
+	switch task {
+	case prompt.FillToken:
 		return `Yes, a token is absent. The missing token is "FROM".`
-	case strings.Contains(lower, "missing word") || strings.Contains(lower, "token is missing"):
+	case prompt.MissToken:
 		return "No. The query appears complete, with no missing words."
-	case strings.Contains(lower, "equivalent") || strings.Contains(lower, "identical results"):
+	case prompt.QueryEquiv:
 		return "Yes, the two queries are equivalent: the rewrite is a where_predicate transformation that preserves results."
-	case strings.Contains(lower, "longer than usual") || strings.Contains(lower, "runtime cost"):
+	case prompt.PerfPred:
 		return "No, this query should run quickly; it touches limited data."
-	case strings.Contains(lower, "describing this query") || strings.Contains(lower, "purpose of this query"):
+	case prompt.QueryExp:
 		return "This query returns rows selected from the referenced tables."
-	case strings.Contains(lower, "final contents") || strings.Contains(lower, "contain after running"):
-		return answerState(prompt)
+	case prompt.TableState:
+		return answerState(promptText)
 	default:
 		return "No, the query does not contain any syntax errors. It is well-formed SQL."
 	}

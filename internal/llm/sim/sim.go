@@ -31,13 +31,14 @@ import (
 //
 // A Knowledge built for a benchmark (NewBenchmarkKnowledge) also memoizes
 // the model-independent oracle facts of that benchmark's statements: each
-// statement's dataset, semantic diagnostics and missing-token repair, and
-// each equivalence pair's parse, classification, token diff and rule
-// verdict. The five models asking about one statement then compute them
-// once. The memo's keys are fixed at construction and each fact fills
-// lazily, exactly once; a statement outside the benchmark (ad-hoc caller
-// SQL) is analyzed on every call and never retained, so a long-lived
-// server's memory does not grow with what callers send.
+// statement's dataset, semantic diagnostics, missing-token repair, word
+// count and performance features, and each equivalence pair's parse,
+// classification, token diff, rule verdict and left-side word count. The
+// five models asking about one statement then compute them once. The memo's
+// keys are fixed at construction and each fact fills lazily, exactly once;
+// a statement outside the benchmark (ad-hoc caller SQL) is analyzed on
+// every call and never retained, so a long-lived server's memory does not
+// grow with what callers send.
 type Knowledge struct {
 	Merged        *catalog.Schema
 	datasetTables map[string]map[string]bool
@@ -64,11 +65,21 @@ type stmtFacts struct {
 	dataset lazy[string]
 	diags   lazy[[]semcheck.Diagnostic]
 	repair  lazy[repair.Result]
+	words   lazy[int]
+	perf    lazy[perfFeatures]
+}
+
+// perfFeatures are the surface features performance_pred judges cost from,
+// besides the word count.
+type perfFeatures struct {
+	columns   int // distinct columns referenced in SELECT clauses
+	bigTables int // distinct production-scale relations named
 }
 
 // pairFacts is the model-independent analysis of a query_equiv pair.
 type pairFacts struct {
 	dataset string // of the left statement
+	words   int    // of the left statement
 	// parsed reports whether both sides parse as SELECTs; the fields below
 	// are set only when they do.
 	parsed         bool
@@ -206,6 +217,27 @@ func (k *Knowledge) detectMissing(sql string) repair.Result {
 	return compute()
 }
 
+// words returns the statement's whitespace-separated word count through the
+// memo.
+func (k *Knowledge) words(sql string) int {
+	compute := func() int { return len(sqllex.Words(sql)) }
+	if f := k.stmts[sql]; f != nil {
+		return f.words.get(compute)
+	}
+	return compute()
+}
+
+// perf returns the statement's performance features through the memo.
+func (k *Knowledge) perf(sql string) perfFeatures {
+	compute := func() perfFeatures {
+		return perfFeatures{columns: analyze.Compute(sql).ColumnCount, bigTables: countBigTables(sql)}
+	}
+	if f := k.stmts[sql]; f != nil {
+		return f.perf.get(compute)
+	}
+	return compute()
+}
+
 // pair returns the pair's analysis through the memo.
 func (k *Knowledge) pair(sql1, sql2 string) pairFacts {
 	compute := func() pairFacts { return k.analyzePair(sql1, sql2) }
@@ -216,7 +248,7 @@ func (k *Knowledge) pair(sql1, sql2 string) pairFacts {
 }
 
 func (k *Knowledge) analyzePair(sql1, sql2 string) pairFacts {
-	f := pairFacts{dataset: k.dataset(sql1)}
+	f := pairFacts{dataset: k.dataset(sql1), words: k.words(sql1)}
 	sel1, err1 := sqlparse.ParseSelect(sql1)
 	sel2, err2 := sqlparse.ParseSelect(sql2)
 	if err1 != nil || err2 != nil {
@@ -346,53 +378,74 @@ func (m *Model) simLatency(promptText string, completionTokens int) time.Duratio
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
+// request is what a simulated model reads from a prompt: the lowercased
+// instruction, the task it names and the statement(s) it asks about.
+type request struct {
+	instruction string // lowercased; see prompt.Instruction
+	task        prompt.Task
+	sql, sql2   string // sql2 only for query_equiv
+}
+
+// readPrompt classifies a prompt with one pass over its lowercased
+// instruction and extracts the embedded statement(s).
+func readPrompt(promptText string) (request, bool) {
+	r := request{instruction: strings.ToLower(prompt.Instruction(promptText))}
+	var ok bool
+	if r.task, ok = prompt.DetectTaskLower(r.instruction); !ok {
+		return r, false
+	}
+	if r.task == prompt.QueryEquiv {
+		r.sql, r.sql2, ok = prompt.ExtractQueryPair(promptText)
+	} else {
+		r.sql, ok = prompt.ExtractQuery(promptText)
+	}
+	return r, ok
+}
+
 // Statements returns the task a simulated model infers from a prompt and
 // the statement(s) it reads there: one, or the two of a query_equiv pair.
 func Statements(promptText string) (prompt.Task, []string, bool) {
-	task, ok := prompt.DetectTask(promptText)
+	r, ok := readPrompt(promptText)
 	if !ok {
 		return "", nil, false
 	}
-	if task == prompt.QueryEquiv {
-		q1, q2, ok := prompt.ExtractQueryPair(promptText)
-		return task, []string{q1, q2}, ok
+	if r.task == prompt.QueryEquiv {
+		return r.task, []string{r.sql, r.sql2}, true
 	}
-	q, ok := prompt.ExtractQuery(promptText)
-	return task, []string{q}, ok
+	return r.task, []string{r.sql}, true
 }
 
 // answer renders the model's response text for a prompt.
 func (m *Model) answer(promptText string) string {
-	task, sql, ok := Statements(promptText)
+	r, ok := readPrompt(promptText)
 	if !ok {
 		return m.style().unsure
 	}
-	quality := promptQuality(promptText)
-	switch task {
+	quality := promptQuality(r.instruction)
+	switch r.task {
 	case prompt.QueryEquiv:
-		return m.answerEquiv(sql[0], sql[1], quality)
+		return m.answerEquiv(r.sql, r.sql2, quality)
 	case prompt.SyntaxError:
-		return m.answerSyntax(sql[0], quality)
+		return m.answerSyntax(r.sql, quality)
 	case prompt.MissToken:
-		return m.answerMissToken(sql[0], quality)
+		return m.answerMissToken(r.sql, quality)
 	case prompt.FillToken:
-		return m.answerFill(sql[0], quality)
+		return m.answerFill(r.sql, quality)
 	case prompt.PerfPred:
-		return m.answerPerf(sql[0])
+		return m.answerPerf(r.sql)
 	case prompt.QueryExp:
-		return m.answerExplain(sql[0])
+		return m.answerExplain(r.sql)
 	case prompt.TableState:
-		return m.answerState(sql[0], quality)
+		return m.answerState(r.sql, quality)
 	}
 	return m.style().unsure
 }
 
 // promptQuality returns an error-rate multiplier reflecting how much
-// guidance the instruction gives (the effect the paper's Section 3.4 prompt
-// tuning measures): the published, detailed prompts perform best; terse
-// variants degrade. Detection keys on wording the variant sets use.
-func promptQuality(promptText string) float64 {
-	lower := strings.ToLower(promptText)
+// guidance the lowercased instruction gives (the effect the paper's Section
+// 3.4 prompt tuning measures): the published, detailed prompts perform best;
+// terse variants degrade. Detection keys on wording the variant sets use.
+func promptQuality(lower string) float64 {
 	// Worked examples sharpen the model: few-shot prompts cut error rates
 	// (the mitigation the paper anticipates in its conclusion).
 	if strings.Contains(lower, "example 1:") && strings.Contains(lower, "answer:") {
@@ -482,7 +535,7 @@ func (m *Model) answerSyntax(sql string, quality float64) string {
 		target = m.profile.SyntaxError[dsSDSS]
 	}
 	diags := m.knowledge.check(sql)
-	z := zWords(dataset, len(sqllex.Words(sql)))
+	z := zWords(dataset, m.knowledge.words(sql))
 	st := m.style()
 
 	if len(diags) > 0 {
@@ -526,8 +579,8 @@ func (m *Model) answerMissToken(sql string, quality float64) string {
 		target = m.profile.MissToken[dsSDSS]
 	}
 	det := m.knowledge.detectMissing(sql)
-	words := sqllex.Words(sql)
-	z := zWords(dataset, len(words))
+	nwords := m.knowledge.words(sql)
+	z := zWords(dataset, nwords)
 	st := m.style()
 
 	if det.Found {
@@ -544,7 +597,7 @@ func (m *Model) answerMissToken(sql string, quality float64) string {
 		if m.unit("misstok", "type", sql) >= acc {
 			kind = confusionToken[kind]
 		}
-		pos := m.perturbPosition(det.WordIndex, len(words), dataset, sql)
+		pos := m.perturbPosition(det.WordIndex, nwords, dataset, sql)
 		token := det.Inserted
 		if token == "" {
 			token = "(unknown)"
@@ -555,7 +608,7 @@ func (m *Model) answerMissToken(sql string, quality float64) string {
 	if m.unit("misstok", "fa", sql) < fa {
 		kinds := mutate.TokenKinds
 		kind := kinds[int(m.unit("misstok", "fakind", sql)*float64(len(kinds)))%len(kinds)]
-		pos := int(m.unit("misstok", "fapos", sql) * float64(len(words)))
+		pos := int(m.unit("misstok", "fapos", sql) * float64(nwords))
 		return fmt.Sprintf(st.missing, kind, "(unclear)", pos+1)
 	}
 	return st.noMissing
@@ -574,7 +627,7 @@ func (m *Model) answerFill(sql string, quality float64) string {
 		target = m.profile.MissToken[dsSDSS]
 	}
 	det := m.knowledge.detectMissing(sql)
-	z := zWords(dataset, len(sqllex.Words(sql)))
+	z := zWords(dataset, m.knowledge.words(sql))
 	st := m.style()
 
 	if det.Found {
@@ -644,18 +697,18 @@ func maxInt(a, b int) int {
 
 func (m *Model) answerPerf(sql string) string {
 	dataset := m.knowledge.dataset(sql)
-	props := analyze.Compute(sql)
+	feat := m.knowledge.perf(sql)
 	// The simulated models judge cost from surface features — how long and
 	// column-heavy the query looks — plus world knowledge of which SDSS
 	// relations are production-scale (the PerfBigWeight feature; stronger
 	// models weigh real scan volume more, weaker ones lean on length, which
 	// produces the paper's false positives on long cheap queries).
-	z := zWords(dataset, props.WordCount)
-	colZ := (float64(props.ColumnCount) - 8) / 8
+	z := zWords(dataset, m.knowledge.words(sql))
+	colZ := (float64(feat.columns) - 8) / 8
 	if colZ > 2.5 {
 		colZ = 2.5
 	}
-	big := float64(countBigTables(sql))
+	big := float64(feat.bigTables)
 	score := m.profile.PerfBigWeight*big + z + 0.25*colZ + m.profile.PerfNoise*m.gauss("perf", sql)
 	st := m.style()
 	if score > m.profile.PerfThreshold {
@@ -699,7 +752,7 @@ func (m *Model) answerEquiv(sql1, sql2 string, quality float64) string {
 		return st.notEquivalent
 	}
 	key := sql1 + "\x00" + sql2
-	z := zWords(f.dataset, len(sqllex.Words(sql1)))
+	z := zWords(f.dataset, f.words)
 
 	sayEquivalent := false
 	switch {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -131,6 +132,38 @@ func TestMissTokenRoundTrip(t *testing.T) {
 	}
 	if v.Missing {
 		t.Errorf("GPT4 hallucinated a missing token: %q", resp)
+	}
+}
+
+// TestEmbeddedSQLCannotSteerTheModel asks every model syntax questions
+// about statements whose string literals carry another task's wording
+// ("same results", "missing word") or a prompt-quality cue ("reply
+// yes/no", a few-shot "Example 1: ... Answer:"). The model reads only the
+// instruction, so each answer must be the syntax answer at the default
+// prompt's quality.
+func TestEmbeddedSQLCannotSteerTheModel(t *testing.T) {
+	k := knowledge()
+	// The quality a whole-prompt scan would apply to each literal; 1.0 for
+	// the task-switching ones, whose steered answers belong to another task.
+	literals := map[string]float64{"same results": 1, "missing word": 1, "reply yes/no": 1.6, "example 1: answer: no": 0.55}
+	for lit, steeredQuality := range literals {
+		sensitive := steeredQuality == 1
+		for _, name := range llm.ModelNames {
+			m, _ := New(name, k)
+			for i := 0; i < 40; i++ {
+				sql := fmt.Sprintf("SELECT plate , COUNT(*) FROM SpecObj WHERE z > %d AND class = '%s'", i, lit)
+				want := m.answerSyntax(sql, 1)
+				if got := m.answer(prompt.Default(prompt.SyntaxError).Render(sql)); got != want {
+					t.Errorf("%s, literal %q: answered %q, want %q", name, lit, got, want)
+				}
+				sensitive = sensitive || m.answerSyntax(sql, steeredQuality) != want
+			}
+		}
+		// Without a statement whose answer moves with the quality, the
+		// check above could not catch a quality leak.
+		if !sensitive {
+			t.Errorf("literal %q: no statement's answer depends on the prompt quality", lit)
+		}
 	}
 }
 
@@ -359,6 +392,7 @@ func TestMemoConcurrentCallers(t *testing.T) {
 		prompt.Default(prompt.SyntaxError).Render(left),
 		prompt.Default(prompt.MissToken).Render(damaged),
 		prompt.Default(prompt.FillToken).Render(damaged),
+		prompt.Default(prompt.PerfPred).Render(left),
 		prompt.Default(prompt.QueryEquiv).RenderPair(left, right),
 		prompt.Default(prompt.QueryEquiv).RenderPair(right, left), // not a key
 	}

@@ -128,10 +128,31 @@ func Default(task Task) Template {
 	return vs[0]
 }
 
+// Instruction returns the instruction part of a rendered prompt: the text
+// before the embedded query, cut where ExtractQueryPair ("SQL 1:") or
+// ExtractQuery (the last "SQL:", so a few-shot prompt's worked examples stay
+// inside) begins reading SQL. A prompt without a marker is all instruction.
+func Instruction(promptText string) string {
+	cut := strings.LastIndex(promptText, MarkerQuery)
+	if cut < 0 {
+		cut = len(promptText)
+	}
+	if i := strings.Index(promptText[:cut], MarkerQuery1); i >= 0 {
+		cut = i
+	}
+	return promptText[:cut]
+}
+
 // DetectTask identifies which task a rendered prompt belongs to. Simulated
-// models use this the way a real model infers intent from instructions.
+// models use this the way a real model infers intent from instructions. Only
+// the instruction is read, so the embedded SQL cannot change the task.
 func DetectTask(promptText string) (Task, bool) {
-	lower := strings.ToLower(promptText)
+	return DetectTaskLower(strings.ToLower(Instruction(promptText)))
+}
+
+// DetectTaskLower is DetectTask over an instruction the caller has already
+// extracted and lowercased, for callers that read the instruction again.
+func DetectTaskLower(lower string) (Task, bool) {
 	switch {
 	// Fill-in is checked before miss_token: both talk about missing tokens,
 	// but only the fill prompts ask for the exact token back.

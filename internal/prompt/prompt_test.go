@@ -27,17 +27,26 @@ func TestRenderPairAndExtract(t *testing.T) {
 }
 
 func TestDetectTaskAllVariants(t *testing.T) {
-	for _, task := range Tasks {
-		for _, tpl := range Variants(task) {
-			var rendered string
-			if task == QueryEquiv {
-				rendered = tpl.RenderPair("SELECT 1", "SELECT 2")
-			} else {
-				rendered = tpl.Render("SELECT 1")
-			}
-			got, ok := DetectTask(rendered)
-			if !ok || got != task {
-				t.Errorf("DetectTask(%s) = %q, %v", tpl.ID, got, ok)
+	// Besides a plain query, queries whose string literals carry other
+	// tasks' wording or prompt-quality cues: detection reads only the
+	// instruction, so the embedded SQL must not switch the task.
+	queries := []string{"SELECT 1"}
+	for _, lit := range []string{"same results", "missing word", "reply yes/no", "example 1:", "exact missing token", "final contents"} {
+		queries = append(queries, "SELECT '"+lit+"' AS note FROM photoobj")
+	}
+	for _, q := range queries {
+		for _, task := range Tasks {
+			for _, tpl := range Variants(task) {
+				var rendered string
+				if task == QueryEquiv {
+					rendered = tpl.RenderPair(q, q+" WHERE 1 = 1")
+				} else {
+					rendered = tpl.Render(q)
+				}
+				got, ok := DetectTask(rendered)
+				if !ok || got != task {
+					t.Errorf("DetectTask(%s, %q) = %q, %v", tpl.ID, q, got, ok)
+				}
 			}
 		}
 	}
@@ -111,5 +120,31 @@ func TestPaperPromptWording(t *testing.T) {
 	}
 	if !strings.Contains(Default(QueryExp).Text, "single statement describing") {
 		t.Error("query_exp prompt diverged from the paper")
+	}
+}
+
+func TestInstruction(t *testing.T) {
+	tpl := Default(SyntaxError)
+	shots := []Shot{{SQL: "SELECT a FROM t", Answer: "no error"}}
+	pair := Default(QueryEquiv)
+	cases := []struct{ name, prompt, want string }{
+		{"single", tpl.Render("SELECT 1"), tpl.Text + "\n\n"},
+		{"pair", pair.RenderPair("SELECT 1", "SELECT 2"), pair.Text + "\n\n"},
+		// A pair whose statements contain the single-query marker is still
+		// cut at "SQL 1:".
+		{"pair with marker literal", pair.RenderPair("SELECT 'SQL:'", "SELECT 'SQL:'"), pair.Text + "\n\n"},
+		// A single query containing the pair marker is cut at "SQL:".
+		{"single with pair marker literal", tpl.Render("SELECT 'SQL 1:'"), tpl.Text + "\n\n"},
+		{"no marker", "What is the capital of France?", "What is the capital of France?"},
+	}
+	for _, c := range cases {
+		if got := Instruction(c.prompt); got != c.want {
+			t.Errorf("%s: Instruction = %q, want %q", c.name, got, c.want)
+		}
+	}
+	// Few-shot examples are instruction: the cut is at the last "SQL:".
+	fs := tpl.RenderFewShot("SELECT b FROM u", shots)
+	if got := Instruction(fs); !strings.Contains(got, "Example 1:") || !strings.Contains(got, "Answer: no error") || strings.Contains(got, "SELECT b FROM u") {
+		t.Errorf("few-shot Instruction = %q", got)
 	}
 }
